@@ -36,8 +36,8 @@ struct EmbeddingTierPolicy {
   /// Where tier files are written; empty means
   /// <system temp dir>/mlfs_emb. Files are removed with their tables.
   std::string spill_dir;
-  /// Async cold-block readahead for every tier created under this policy
-  /// (see ReadaheadOptions; disabled by default).
+  /// Async next-block readahead for the scans of every tier created under
+  /// this policy (see ReadaheadOptions; disabled by default).
   ReadaheadOptions readahead;
 };
 

@@ -104,8 +104,9 @@ class EmbeddingTable {
   /// Batched lookup: entry i points at `keys[i]`'s vector, or is null for
   /// a missing key. One output allocation for the whole batch — the unit
   /// embedding-feature hydration and batched ANN queries are built on.
-  /// Tiered: one access per touched block (batch-aware promotion), and a
-  /// fault-injected cold load degrades its rows to nulls.
+  /// Tiered: one LRU access per touched block, cold rows decoded one by
+  /// one (a block is promoted only once its cold reads have paid for it),
+  /// and a fault-injected cold load degrades its rows to nulls.
   std::vector<const float*> MultiGet(
       const std::vector<std::string>& keys) const;
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <unordered_map>
+#include <limits>
 #include <unordered_set>
 
 #include "common/failpoint.h"
@@ -153,6 +153,7 @@ Status EmbeddingTier::WriteAndMap(const PackedCodes& packed,
                                 : options.memory_budget_bytes / block_bytes,
                blocks_count_);
   cache_ = std::make_unique<BlockCache>(blocks_count_, hot_limit);
+  cold_reads_ = std::make_unique<std::atomic<size_t>[]>(blocks_count_);
   readahead_ = std::make_unique<ReadaheadScheduler>(options.readahead);
   return Status::OK();
 }
@@ -222,6 +223,32 @@ std::vector<float> EmbeddingTier::LoadBlock(size_t b) const {
   return rows;
 }
 
+BlockCache::Payload EmbeddingTier::AdmitColdReads(size_t b, size_t reads,
+                                                  uint64_t stamp) const {
+  // Ski rental. A cold read rents: it decodes only its own row. Buying
+  // promotes the block: it decodes all block_rows rows and, the arena
+  // being full, displaces a hot block that costs as much again to bring
+  // back — so the price is 2 * block_rows row decodes. The one call whose
+  // reads take the rent past the price buys; calls that land while it
+  // does keep renting, and the rent restarts from zero once it is done.
+  // The price is capped at half of size_t, so neither it nor the rent
+  // (which overshoots the price only by reads in flight) can wrap, and
+  // the crossing test subtracts only under `paid <= price`.
+  constexpr size_t kMaxPrice = std::numeric_limits<size_t>::max() / 2;
+  const size_t price =
+      block_rows_ > kMaxPrice / 2 ? kMaxPrice : 2 * block_rows_;
+  std::atomic<size_t>& rent = cold_reads_[b];
+  const size_t paid = rent.fetch_add(reads, std::memory_order_relaxed);
+  if (paid > price || reads <= price - paid) return nullptr;
+  BlockCache::Payload block;
+  if (cache_->capacity() > 0) {
+    block = LoadBlockPayload(b);
+    cache_->Insert(b, block, BlockBytes(b), stamp);
+  }
+  rent.store(0, std::memory_order_relaxed);
+  return block;
+}
+
 StatusOr<const float*> EmbeddingTier::GetRow(size_t row) const {
   if (row >= n_) {
     return Status::OutOfRange("embedding tier row out of range");
@@ -230,27 +257,30 @@ StatusOr<const float*> EmbeddingTier::GetRow(size_t row) const {
   pins.clear();
   const size_t b = row / block_rows_;
   const size_t offset = (row - BlockRow0(b)) * dim_;
-  BlockCache::Payload hot = cache_->Touch(b, cache_->BeginBatch());
-  if (hot != nullptr) {
+  const uint64_t stamp = cache_->BeginBatch();
+  BlockCache::Payload block = cache_->Touch(b, stamp);
+  if (block != nullptr) {
     cache_->CountAccess(1, 0);
-    const float* ptr = BlockFloats(hot) + offset;
-    pins.push_back(std::move(hot));
+  } else {
+    cache_->CountAccess(0, 1);
+    if (FailpointRegistry::Instance().AnyArmed()) {
+      Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
+      if (!s.ok()) {
+        load_faults_.fetch_add(1, std::memory_order_relaxed);
+        return s;
+      }
+    }
+    block = AdmitColdReads(b, 1, stamp);
+  }
+  if (block != nullptr) {
+    const float* ptr = BlockFloats(block) + offset;
+    pins.push_back(std::move(block));
     return ptr;
   }
-  cache_->CountAccess(0, 1);
-  if (FailpointRegistry::Instance().AnyArmed()) {
-    Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
-    if (!s.ok()) {
-      load_faults_.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
-  BlockCache::Payload loaded = LoadBlockPayload(b);
-  const float* ptr = BlockFloats(loaded) + offset;
-  pins.push_back(loaded);
-  // A concurrent reader may have promoted b already; our copy is
-  // byte-identical (same codes, same tables), so serving it is fine.
-  cache_->Insert(b, std::move(loaded), BlockBytes(b), cache_->BeginBatch());
+  auto decoded = std::make_shared<std::vector<float>>(dim_);
+  DequantizeRange(MapView(), row, 1, decoded->data());
+  const float* ptr = decoded->data();
+  pins.push_back(std::move(decoded));
   return ptr;
 }
 
@@ -259,78 +289,93 @@ void EmbeddingTier::MultiGetRows(std::span<const int64_t> rows,
   out->assign(rows.size(), nullptr);
   auto& pins = BlockCache::ThreadPins();
   pins.clear();
-  if (rows.empty()) return;
 
-  // One stamp for the whole batch: a block counts one access no matter
-  // how many batch rows it serves (batch-aware promotion).
-  const uint64_t stamp = cache_->BeginBatch();
-  std::unordered_map<size_t, BlockCache::Payload> held;
-  std::vector<size_t> cold;
-  for (int64_t r : rows) {
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    auto [it, inserted] = held.try_emplace(b);
-    if (!inserted) continue;
-    it->second = cache_->Touch(b, stamp);
-    if (it->second == nullptr) cold.push_back(b);
+  // Valid slots sorted by row: each block's slots form one run, and
+  // duplicate rows sit next to each other.
+  std::vector<size_t> order;
+  order.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] >= 0 && static_cast<size_t>(rows[i]) < n_) order.push_back(i);
   }
-  uint64_t row_hits = 0, row_misses = 0;
-  for (int64_t r : rows) {
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    if (held[b] == nullptr) {
-      ++row_misses;
-    } else {
-      ++row_hits;
+  if (order.empty()) return;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return rows[a] < rows[b]; });
+  auto block_of = [&](size_t k) {
+    return static_cast<size_t>(rows[order[k]]) / block_rows_;
+  };
+  auto serve_run = [&](size_t begin, size_t end, const float* block,
+                       size_t b) {
+    for (size_t k = begin; k < end; ++k) {
+      const size_t r = static_cast<size_t>(rows[order[k]]);
+      (*out)[order[k]] = block + (r - BlockRow0(b)) * dim_;
     }
+  };
+
+  // One stamp for the whole batch: a block counts one LRU access no
+  // matter how many batch rows it serves.
+  const uint64_t stamp = cache_->BeginBatch();
+  struct ColdRun {
+    size_t begin, end, b;
+  };
+  std::vector<ColdRun> cold;
+  uint64_t row_hits = 0, row_misses = 0;
+  for (size_t begin = 0, end; begin < order.size(); begin = end) {
+    const size_t b = block_of(begin);
+    end = begin + 1;
+    while (end < order.size() && block_of(end) == b) ++end;
+    BlockCache::Payload block = cache_->Touch(b, stamp);
+    if (block == nullptr) {
+      row_misses += end - begin;
+      cold.push_back({begin, end, b});
+      continue;
+    }
+    row_hits += end - begin;
+    serve_run(begin, end, BlockFloats(block), b);
+    pins.push_back(std::move(block));
   }
   cache_->CountAccess(row_hits, row_misses);
-
-  bool faulted = false;
-  if (!cold.empty() && FailpointRegistry::Instance().AnyArmed()) {
+  if (cold.empty()) return;
+  if (FailpointRegistry::Instance().AnyArmed()) {
     Status s = FailpointRegistry::Instance().Evaluate("embedding.tier.load");
     if (!s.ok()) {
-      faulted = true;  // Cold slots degrade to misses (stay null).
       load_faults_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!faulted && !cold.empty()) {
-    // Overlap: hand the back half of the cold blocks to the readahead
-    // scheduler, dequantize the front half here, then collect. A dropped
-    // or disabled prefetch falls back to the demand load; either way the
-    // bytes are identical (dequantization is deterministic).
-    size_t split = cold.size();
-    if (readahead_->enabled() && cold.size() >= 2) {
-      split = cold.size() - cold.size() / 2;
-      for (size_t ci = split; ci < cold.size(); ++ci) {
-        const size_t b = cold[ci];
-        readahead_->Prefetch(b, [this, b] { return LoadBlockPayload(b); });
-      }
-    }
-    for (size_t ci = 0; ci < cold.size(); ++ci) {
-      const size_t b = cold[ci];
-      BlockCache::Payload p;
-      if (ci >= split) p = readahead_->Consume(b);
-      if (p == nullptr) p = LoadBlockPayload(b);
-      held[b] = std::move(p);
-    }
-    for (size_t b : cold) {
-      cache_->Insert(b, held[b], BlockBytes(b), stamp);
+      return;  // Cold slots degrade to misses (stay null).
     }
   }
 
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const int64_t r = rows[i];
-    if (r < 0 || static_cast<size_t>(r) >= n_) continue;
-    const size_t b = static_cast<size_t>(r) / block_rows_;
-    const BlockCache::Payload& p = held[b];
-    if (p == nullptr) continue;  // Fault-injected cold block.
-    (*out)[i] =
-        BlockFloats(p) + (static_cast<size_t>(r) - BlockRow0(b)) * dim_;
+  // Runs whose reads pay for their block are served from the promoted
+  // block; the rest decode row by row into one per-call buffer (sized
+  // per slot; duplicate rows decode once and leave their room unused).
+  size_t decode_slots = 0;
+  size_t kept = 0;
+  for (const ColdRun& run : cold) {
+    BlockCache::Payload block =
+        AdmitColdReads(run.b, run.end - run.begin, stamp);
+    if (block == nullptr) {
+      decode_slots += run.end - run.begin;
+      cold[kept++] = run;
+      continue;
+    }
+    serve_run(run.begin, run.end, BlockFloats(block), run.b);
+    pins.push_back(std::move(block));
   }
-  for (auto& [b, p] : held) {
-    if (p != nullptr) pins.push_back(std::move(p));
+  cold.resize(kept);
+  if (cold.empty()) return;
+  auto decoded = std::make_shared<std::vector<float>>(decode_slots * dim_);
+  const PackedCodesView view = MapView();
+  float* next = decoded->data();
+  const float* last = nullptr;
+  for (const ColdRun& run : cold) {
+    for (size_t k = run.begin; k < run.end; ++k) {
+      if (k == run.begin || rows[order[k]] != rows[order[k - 1]]) {
+        DequantizeRange(view, static_cast<size_t>(rows[order[k]]), 1, next);
+        last = next;
+        next += dim_;
+      }
+      (*out)[order[k]] = last;
+    }
   }
+  pins.push_back(std::move(decoded));
 }
 
 void EmbeddingTier::CopyRow(size_t row, float* out) const {

@@ -27,7 +27,9 @@ struct EmbeddingTierOptions {
   size_t memory_budget_bytes = 0;
   /// Bits per dimension in the packed cold tier (1..16).
   int bits = 8;
-  /// Rows per block — the promotion/demotion and dequantization unit.
+  /// Rows per block — the promotion/demotion unit. A cold block is
+  /// promoted by the first read after it has served 2 * block_rows
+  /// cold-row reads (see EmbeddingTier).
   size_t block_rows = 256;
   /// Directory the packed tier file is written into (required).
   std::string dir;
@@ -36,17 +38,18 @@ struct EmbeddingTierOptions {
   /// Tier files are scratch by default: deleted when the tier is
   /// destroyed. Snapshots embed the packed codes, not the file path.
   bool remove_file_on_destroy = true;
-  /// Async cold-block prefetch (io/readahead.h). Default-disabled;
-  /// served bytes are identical either way (dequantization is
-  /// deterministic), readahead only moves it off the serving thread.
+  /// Async next-block prefetch for ScanBlocks (io/readahead.h).
+  /// Default-disabled; served bytes are identical either way
+  /// (dequantization is deterministic), readahead only moves it off the
+  /// scanning thread.
   ReadaheadOptions readahead;
 };
 
 /// Monotonic tier counters plus a point-in-time occupancy snapshot.
 struct EmbeddingTierStats {
   uint64_t hot_hits = 0;      // Rows served from the hot arena.
-  uint64_t cold_misses = 0;   // Rows that needed a cold block.
-  uint64_t promotions = 0;    // Cold blocks dequantized into the hot arena.
+  uint64_t cold_misses = 0;   // Rows whose block was not hot.
+  uint64_t promotions = 0;    // Cold blocks admitted into the hot arena.
   uint64_t demotions = 0;     // Hot blocks evicted back to codes-only.
   uint64_t scans = 0;         // ScanBlocks passes (ANN scans).
   uint64_t scan_cold_blocks = 0;  // Blocks dequantized into scan scratch.
@@ -62,35 +65,43 @@ struct EmbeddingTierStats {
 /// The out-of-core half of a tiered EmbeddingTable (MLKV-style): every row
 /// lives scalar-quantized in a checksummed, memory-mapped file; a bounded
 /// set of "hot" blocks additionally holds float32 rows in RAM. Reads are
-/// served from the hot arena when possible and dequantized from the mapped
-/// codes otherwise, with batch-aware promotion: all rows a MultiGet batch
-/// touches in one block count as a single access, so one burst cannot
-/// monopolize the LRU clock, and full scans (ScanBlocks) refresh hot
-/// stamps without growing the hot set (scan-resistant — a brute-force ANN
-/// pass must not evict the point-lookup working set).
+/// served from the hot arena when possible; a cold row is dequantized on
+/// its own from the mapped codes. Admission is ski rental: promoting a
+/// block costs block_rows row decodes for itself plus as many again for
+/// the hot block it displaces, so a block is promoted only once its
+/// cold-row reads since it last became resident have paid that price —
+/// by the first read after 2 * block_rows of them, or by a batch whose
+/// reads would take the rent past it. One-off rows and sequential
+/// point-read passes therefore never evict hot blocks.
+/// All rows a MultiGet batch touches in one block count as a single LRU
+/// access, so one burst cannot monopolize the clock, and full scans
+/// (ScanBlocks) refresh hot stamps without growing the hot set
+/// (scan-resistant — a brute-force ANN pass must not evict the
+/// point-lookup working set).
 ///
 /// Storage plumbing is the shared io/ subsystem: the packed file is a
 /// BlockFile ("MLET" magic in the common envelope, spilled with the
 /// WriteFileAtomic + mmap-reopen discipline and fully validated at open),
 /// the hot arena is a BlockCache (batch-granular scan-resistant LRU with
-/// the shared thread-local pin set), and cold-block prefetch runs on a
-/// ReadaheadScheduler. This file owns only the quantization codec and the
-/// row-addressing geometry.
+/// the shared thread-local pin set), and ScanBlocks' next-block prefetch
+/// runs on a ReadaheadScheduler. This file owns the quantization codec, the
+/// row-addressing geometry and the admission rule.
 ///
 ///   body: u32 bits, u64 n, u64 dim, u64 block_rows,
 ///         float lo[dim], float hi[dim], codes[n * row_bytes]
 ///
 /// Pointer lifetime: pointers handed out by GetRow/MultiGetRows stay
 /// valid until the *calling thread's* next GetRow/MultiGetRows on any
-/// tier (the BlockCache thread-local pin set keeps the backing blocks
-/// alive across concurrent demotion); copy before issuing another read.
-/// Hot demotion therefore never invalidates a pointer another thread
-/// just obtained.
+/// tier (the BlockCache thread-local pin set keeps the backing blocks,
+/// and the per-call buffer of row-decoded cold rows, alive across
+/// concurrent demotion); copy before issuing another read. Hot demotion
+/// therefore never invalidates a pointer another thread just obtained.
 ///
 /// Failpoints: "embedding.tier.spill" fires before the tier file is
 /// written (Build/Restore fail cleanly); "embedding.tier.load" fires when
-/// a read or scan needs a cold block (GetRow/ScanBlocks propagate the
-/// injected status; MultiGetRows degrades the affected rows to misses);
+/// a read needs cold rows or a scan starts (GetRow/ScanBlocks propagate
+/// the injected status; MultiGetRows degrades the cold rows to misses;
+/// neither charges the faulted reads toward admission);
 /// "io.load" (in BlockFile::Map) and "io.readahead" (in the scheduler)
 /// fire underneath.
 ///
@@ -117,15 +128,15 @@ class EmbeddingTier {
   EmbeddingTier(const EmbeddingTier&) = delete;
   EmbeddingTier& operator=(const EmbeddingTier&) = delete;
 
-  /// Row pointer (hot arena or freshly promoted block); see the pointer
-  /// lifetime contract above.
+  /// Row pointer (hot arena, the block this read promoted, or the row
+  /// decoded on its own); see the pointer lifetime contract above.
   StatusOr<const float*> GetRow(size_t row) const;
 
   /// Batched lookup: out[i] points at rows[i]'s vector, or is null when
-  /// rows[i] < 0 or its cold load was fault-injected. Each distinct block
-  /// counts one access regardless of how many batch rows it serves. With
-  /// readahead enabled the back half of the batch's cold blocks
-  /// dequantize on the scheduler while this thread does the front half.
+  /// rows[i] is out of range or its cold load was fault-injected. Each
+  /// distinct block counts one LRU access regardless of how many batch
+  /// rows it serves; each cold slot counts one read toward its block's
+  /// admission.
   void MultiGetRows(std::span<const int64_t> rows,
                     std::vector<const float*>* out) const;
 
@@ -193,7 +204,15 @@ class EmbeddingTier {
   /// Dequantizes block `b` into a fresh buffer (no locks needed: the
   /// mapped codes are immutable).
   std::vector<float> LoadBlock(size_t b) const;
-  /// LoadBlock as a cache payload (what readahead jobs materialize).
+  /// Charges `reads` cold-row reads to block `b` (the admission rule).
+  /// When they would take its rent past the price, this promotes the
+  /// block, resets the rent and returns the payload; otherwise null.
+  /// Callers evaluate the load failpoint first, so a faulted read is not
+  /// charged.
+  BlockCache::Payload AdmitColdReads(size_t b, size_t reads,
+                                     uint64_t stamp) const;
+  /// LoadBlock as a cache payload (what promotions and readahead jobs
+  /// materialize).
   BlockCache::Payload LoadBlockPayload(size_t b) const {
     return std::make_shared<const std::vector<float>>(LoadBlock(b));
   }
@@ -217,6 +236,9 @@ class EmbeddingTier {
   BlockFilePtr file_;
   std::unique_ptr<BlockCache> cache_;
   std::unique_ptr<ReadaheadScheduler> readahead_;
+  // Cold-row reads per block since it last became resident (admission
+  // rent); reset when the block is bought.
+  std::unique_ptr<std::atomic<size_t>[]> cold_reads_;
 
   // Tier-specific counters (the cache and scheduler keep their own).
   mutable std::atomic<uint64_t> scans_{0};

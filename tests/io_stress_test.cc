@@ -240,8 +240,9 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
   std::atomic<uint64_t> served{0};
 
   std::vector<std::thread> threads;
-  // Batchers drive MultiGet's front/back cold split: wide batches force
-  // multiple cold blocks per call so the scheduler carries real work.
+  // Batchers: wide batches straddle hot and cold blocks, decoding cold
+  // rows on the calling thread while the scanners keep the scheduler's
+  // workers materializing blocks.
   for (int t = 0; t < kBatchers; ++t) {
     threads.emplace_back([&, t] {
       Rng local(50 + t);

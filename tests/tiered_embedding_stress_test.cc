@@ -5,8 +5,9 @@
 // threads issuing batches that straddle hot and cold blocks, scan threads
 // streaming the whole tier (brute-force ANN's access pattern), a thread
 // flapping the hot limit (the store's budget rebalancing), and a
-// fault-injection thread arming/disarming the cold-load failpoint.
-// Asserts the invariants the single-threaded suite pins: every served row
+// fault-injection thread arming/disarming the cold-load failpoint. A
+// second soak holds row-decoded cold pointers across whole-block
+// promotions and budget flaps. Asserts the invariants the single-threaded suite pins: every served row
 // is bitwise one of the two legal values (exact or dequantized), pointers
 // stay valid until the thread's next lookup, and the counters are
 // coherent.
@@ -193,6 +194,138 @@ TEST(TieredEmbeddingStressTest, PromotionDemotionScansAndFaultsRace) {
     table->CopyRow(row, out.data());
     EXPECT_TRUE(legal(row, out.data())) << row;
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TieredEmbeddingStressTest, RowServedPointersSurvivePromotionChurn) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "mlfs_tier_rows_stress")
+          .string();
+  std::filesystem::create_directories(dir);
+
+  Rng rng(17);
+  std::vector<float> data(kRows * kDim);
+  for (float& x : data) x = static_cast<float>(rng.Gaussian());
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < kRows; ++i) keys.push_back("k" + std::to_string(i));
+
+  EmbeddingTableMetadata metadata;
+  metadata.name = "rows_stress";
+  auto source = EmbeddingTable::Create(metadata, keys, data, kDim).value();
+
+  EmbeddingTierOptions options;
+  options.memory_budget_bytes = 4 * kBlockRows * kDim * sizeof(float);
+  options.bits = kBits;
+  options.block_rows = kBlockRows;
+  options.dir = dir;
+  auto table = EmbeddingTable::CreateTiered(*source, options).value();
+
+  PackedCodes packed = PackUniform(data.data(), kRows, kDim, kBits).value();
+  PackedDecodeTables tables = MakeDecodeTables(kBits, packed.lo, packed.hi);
+  std::vector<float> dequantized(kRows * kDim);
+  DequantizeRange(ViewOf(packed, tables), 0, kRows, dequantized.data());
+  auto legal = [&](size_t row, const float* got) {
+    return std::memcmp(got, data.data() + row * kDim,
+                       kDim * sizeof(float)) == 0 ||
+           std::memcmp(got, dequantized.data() + row * kDim,
+                       kDim * sizeof(float)) == 0;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> checked{0};
+  std::atomic<uint64_t> illegal{0};
+  std::atomic<uint64_t> moved{0};
+
+  std::vector<std::thread> threads;
+  // Readers: small batches spread over every block, so most rows are
+  // decoded on their own. Each pointer is checked when served and again
+  // after yielding to the promoters and the flapper: it must still hold
+  // the same legal bytes until this thread's next lookup.
+  constexpr int kReaders = 3;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(400 + t);
+      std::vector<float> copy(kDim);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        std::vector<std::string> batch;
+        std::vector<size_t> rows;
+        for (int i = 0; i < 8; ++i) {
+          rows.push_back(local.Uniform(kRows));
+          batch.push_back(keys[rows.back()]);
+        }
+        batch.push_back(batch.front());  // A duplicate slot.
+        rows.push_back(rows.front());
+        auto ptrs = table->MultiGet(batch);
+        ASSERT_EQ(ptrs.size(), batch.size());
+        std::vector<float> snapshot(rows.size() * kDim);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ASSERT_NE(ptrs[i], nullptr);
+          if (!legal(rows[i], ptrs[i])) illegal.fetch_add(1);
+          std::memcpy(snapshot.data() + i * kDim, ptrs[i],
+                      kDim * sizeof(float));
+        }
+        for (int y = 0; y < 4; ++y) std::this_thread::yield();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (std::memcmp(ptrs[i], snapshot.data() + i * kDim,
+                          kDim * sizeof(float)) != 0) {
+            moved.fetch_add(1);
+          }
+        }
+        checked.fetch_add(rows.size(), std::memory_order_relaxed);
+
+        const size_t row = local.Uniform(kRows);
+        const float* got = table->Get(keys[row]).value();
+        std::memcpy(copy.data(), got, kDim * sizeof(float));
+        if (!legal(row, got)) illegal.fetch_add(1);
+        std::this_thread::yield();
+        if (std::memcmp(got, copy.data(), kDim * sizeof(float)) != 0) {
+          moved.fetch_add(1);
+        }
+      }
+    });
+  }
+  // Promoters: whole-block batches pay for their block in one call, so
+  // every call promotes (capacity permitting) and demotes another block.
+  constexpr int kPromoters = 2;
+  for (int t = 0; t < kPromoters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng local(500 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const size_t b = local.Uniform(kRows / kBlockRows);
+        std::vector<std::string> batch(keys.begin() + b * kBlockRows,
+                                       keys.begin() + (b + 1) * kBlockRows);
+        auto ptrs = table->MultiGet(batch);
+        for (size_t i = 0; i < ptrs.size(); ++i) {
+          if (ptrs[i] == nullptr || !legal(b * kBlockRows + i, ptrs[i])) {
+            illegal.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Rng local(601);
+    while (!stop.load(std::memory_order_relaxed)) {
+      table->tier()->SetHotLimit(local.Uniform(6));
+      std::this_thread::yield();
+    }
+  });
+
+  for (int t = 0; t < kReaders; ++t) threads[t].join();
+  stop.store(true);
+  for (size_t t = kReaders; t < threads.size(); ++t) threads[t].join();
+
+  EXPECT_EQ(illegal.load(), 0u)
+      << "a row was served that is neither exact nor dequantized";
+  EXPECT_EQ(moved.load(), 0u)
+      << "a served row changed before the reader's next lookup";
+  EXPECT_GT(checked.load(), 0u);
+  const EmbeddingTierStats stats = table->tier()->stats();
+  EXPECT_GT(stats.promotions, 0u);
+  EXPECT_GT(stats.demotions, 0u);
+  EXPECT_GE(stats.demotions + stats.hot_blocks, stats.promotions);
+  EXPECT_EQ(stats.resident_bytes,
+            stats.hot_blocks * kBlockRows * kDim * sizeof(float));
   std::filesystem::remove_all(dir);
 }
 

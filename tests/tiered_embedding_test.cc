@@ -138,8 +138,32 @@ TEST_F(TieredEmbeddingTest, AllHotTableKeepsExactGetContracts) {
   EXPECT_TRUE(tiered->MultiGet({}).empty());
 }
 
+/// Keys "k<begin>" .. "k<end - 1>".
+std::vector<std::string> KeyRange(size_t begin, size_t end) {
+  std::vector<std::string> keys;
+  for (size_t i = begin; i < end; ++i) keys.push_back("k" + std::to_string(i));
+  return keys;
+}
+
+/// The packed codec's dequantization of every row: what a cold row serves.
+std::vector<float> Dequantized(const EmbeddingTable& source, int bits) {
+  const size_t n = source.size(), dim = source.dim();
+  PackedCodes packed = PackUniform(source.raw().data(), n, dim, bits).value();
+  PackedDecodeTables tables = MakeDecodeTables(bits, packed.lo, packed.hi);
+  std::vector<float> out(n * dim);
+  DequantizeRange(ViewOf(packed, tables), 0, n, out.data());
+  return out;
+}
+
+/// Gets `key` `times` times, asserting every read succeeds.
+void GetTimes(const EmbeddingTable& table, const std::string& key,
+              size_t times) {
+  for (size_t i = 0; i < times; ++i) ASSERT_TRUE(table.Get(key).ok()) << key;
+}
+
 TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
-  const size_t n = 256, dim = 4, block_rows = 64;  // 4 blocks.
+  // 4 blocks of 64 rows; a cold block's price is 2 * 64 = 128 reads.
+  const size_t n = 256, dim = 4, block_rows = 64;
   auto source = ResidentTable("emb", n, dim);
   auto tiered = EmbeddingTable::CreateTiered(
                     *source,
@@ -149,6 +173,7 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   const EmbeddingTier* tier = tiered->tier();
   EXPECT_EQ(tier->stats().hot_blocks, 1u);
   EXPECT_EQ(tier->stats().hot_limit_blocks, 1u);
+  const std::vector<float> dequantized = Dequantized(*source, 8);
 
   // Hot hit in the seeded block 0.
   ASSERT_TRUE(tiered->Get("k0").ok());
@@ -156,55 +181,257 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   EXPECT_EQ(stats.hot_hits, 1u);
   EXPECT_EQ(stats.cold_misses, 0u);
 
-  // Cold read in block 2: miss, promote, and demote block 0 (budget 1).
-  ASSERT_TRUE(tiered->Get("k130").ok());
+  // Two sequential passes over block 2 are row-served: 128 cold reads
+  // pay the price but do not promote, and the seed stays.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t row = 128; row < 192; ++row) {
+      const float* got = tiered->Get("k" + std::to_string(row)).value();
+      EXPECT_TRUE(BitEqual(got, dequantized.data() + row * dim, dim)) << row;
+    }
+  }
   stats = tier->stats();
-  EXPECT_EQ(stats.cold_misses, 1u);
+  EXPECT_EQ(stats.cold_misses, 128u);
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.demotions, 0u);
+  EXPECT_EQ(stats.hot_blocks, 1u);
+  EXPECT_EQ(stats.hot_hits, 1u);
+
+  // The next cold read buys block 2: promote it, demote block 0.
+  ASSERT_TRUE(tiered->Get("k191").ok());
+  stats = tier->stats();
+  EXPECT_EQ(stats.cold_misses, 129u);
   EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_EQ(stats.hot_blocks, 1u);
 
-  // Same row again: now a hot hit.
-  ASSERT_TRUE(tiered->Get("k130").ok());
+  // Same block again: now a hot hit, serving the same dequantized bytes.
+  const float* hot = tiered->Get("k130").value();
   EXPECT_EQ(tier->stats().hot_hits, 2u);
+  EXPECT_TRUE(BitEqual(hot, dequantized.data() + 130 * dim, dim));
 
   // Demoted row serves dequantized values from here on.
   std::vector<float> got(dim);
   tiered->CopyRow(0, got.data());
-  PackedCodes packed = PackUniform(source->raw().data(), n, dim, 8).value();
-  PackedDecodeTables tables = MakeDecodeTables(8, packed.lo, packed.hi);
-  std::vector<float> expect(dim);
-  DequantizeRange(ViewOf(packed, tables), 0, 1, expect.data());
-  EXPECT_TRUE(BitEqual(got.data(), expect.data(), dim));
+  EXPECT_TRUE(BitEqual(got.data(), dequantized.data(), dim));
+
+  // Repeated reads of one row count like distinct rows: block 0 is
+  // bought by its 129th cold read (demoting block 2).
+  GetTimes(*tiered, "k5", 128);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.demotions, 1u);
+  GetTimes(*tiered, "k5", 1);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 2u);
+  EXPECT_EQ(stats.demotions, 2u);
+  EXPECT_EQ(stats.cold_misses, 258u);
+
+  // Block 2's rent was reset when it was promoted, so its 129 earlier
+  // reads count for nothing now that it is cold again.
+  GetTimes(*tiered, "k150", 128);
+  EXPECT_EQ(tier->stats().promotions, 2u);
+  GetTimes(*tiered, "k150", 1);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 3u);
+  EXPECT_EQ(stats.demotions, 3u);
+  EXPECT_EQ(stats.cold_misses, 387u);
+  EXPECT_EQ(stats.hot_hits, 2u);
 }
 
 TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
-  const size_t n = 256, dim = 4, block_rows = 64;
+  const size_t n = 256, dim = 4, block_rows = 64;  // Price: 128 reads.
   auto source = ResidentTable("emb", n, dim);
   auto tiered = EmbeddingTable::CreateTiered(
                     *source,
                     TierOptions(2 * block_rows * dim * sizeof(float), 8,
                                 block_rows))
                     .value();
+  const EmbeddingTier* tier = tiered->tier();
+  const std::vector<float> dequantized = Dequantized(*source, 8);
+
   // 10 rows from cold block 3 plus 3 rows from hot block 0, one batch:
-  // one promotion (block-granular), per-row hit/miss counters.
-  std::vector<std::string> batch;
-  for (int i = 0; i < 10; ++i) batch.push_back("k" + std::to_string(192 + i));
-  for (int i = 0; i < 3; ++i) batch.push_back("k" + std::to_string(i));
+  // the cold rows are row-served, nothing is promoted or demoted.
+  std::vector<std::string> batch = KeyRange(192, 202);
+  for (const std::string& key : KeyRange(0, 3)) batch.push_back(key);
   auto rows = tiered->MultiGet(batch);
   for (const float* row : rows) ASSERT_NE(row, nullptr);
-  EmbeddingTierStats stats = tiered->tier()->stats();
-  EXPECT_EQ(stats.promotions, 1u);
+  EmbeddingTierStats stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.demotions, 0u);
   EXPECT_EQ(stats.cold_misses, 10u);
   EXPECT_EQ(stats.hot_hits, 3u);
-  // Promoting block 3 under a 2-block budget demotes the stale seed
-  // (block 1 — block 0 was touched by this batch).
   EXPECT_EQ(stats.hot_blocks, 2u);
-  EXPECT_EQ(stats.demotions, 1u);
-  // Values: hot rows exact.
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(BitEqual(rows[i], dequantized.data() + (192 + i) * dim, dim));
+  }
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_TRUE(BitEqual(rows[10 + i], source->row(i), dim));
   }
+
+  // 118 more reads of block 3 (every row, then 54 again) bring its rent
+  // to exactly the price: still cold.
+  batch = KeyRange(192, 256);
+  for (const std::string& key : KeyRange(192, 246)) batch.push_back(key);
+  rows = tiered->MultiGet(batch);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.cold_misses, 128u);
+
+  // The next batch touching block 3 buys it — one promotion however many
+  // of the batch's rows the block serves. Under a 2-block budget that
+  // demotes the stale seed (block 1: block 0 is touched by this batch).
+  batch = KeyRange(250, 256);
+  batch.push_back("k1");
+  rows = tiered->MultiGet(batch);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 1u);
+  EXPECT_EQ(stats.demotions, 1u);
+  EXPECT_EQ(stats.hot_blocks, 2u);
+  EXPECT_EQ(stats.cold_misses, 134u);
+  EXPECT_EQ(stats.hot_hits, 4u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(BitEqual(rows[i], dequantized.data() + (250 + i) * dim, dim));
+  }
+  EXPECT_TRUE(BitEqual(rows[6], source->row(1), dim));
+  // Block 3 now serves hot.
+  rows = tiered->MultiGet({"k192", "k255"});
+  EXPECT_EQ(tier->stats().hot_hits, 6u);
+  EXPECT_TRUE(BitEqual(rows[0], dequantized.data() + 192 * dim, dim));
+
+  // One batch whose reads of a cold block exceed the price promotes it at
+  // once (block 1: 129 reads), while exactly the price does not (block 2:
+  // 128 reads). Duplicate rows count as reads and share one pointer.
+  batch.clear();
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const std::string& key : KeyRange(64, 128)) batch.push_back(key);
+    for (const std::string& key : KeyRange(128, 192)) batch.push_back(key);
+  }
+  batch.push_back("k64");
+  rows = tiered->MultiGet(batch);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 2u);
+  EXPECT_EQ(stats.demotions, 2u);
+  EXPECT_EQ(stats.cold_misses, 134u + 257u);
+  for (size_t i = 0; i < 128; ++i) {
+    EXPECT_EQ(rows[i], rows[128 + i]) << "duplicates share one pointer";
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t row = std::stoul(batch[i].substr(1));
+    EXPECT_TRUE(BitEqual(rows[i], dequantized.data() + row * dim, dim)) << i;
+  }
+
+  // Block 1 serves hot now; the next read of block 2 buys it.
+  rows = tiered->MultiGet({"k64", "k191"});
+  stats = tier->stats();
+  EXPECT_EQ(stats.hot_hits, 7u);
+  EXPECT_EQ(stats.cold_misses, 392u);
+  EXPECT_EQ(stats.promotions, 3u);
+  EXPECT_EQ(stats.demotions, 3u);
+  EXPECT_EQ(stats.hot_blocks, 2u);
+}
+
+TEST_F(TieredEmbeddingTest, RowServedColdRowsMatchCopyRowAndCodec) {
+  // Odd dim and a 5-bit packing, so rows straddle byte boundaries. A zero
+  // hot budget never promotes: every read below is decoded on its own.
+  const size_t n = 300, dim = 7, block_rows = 64;
+  const int bits = 5;
+  auto source = ResidentTable("emb", n, dim, 3);
+  auto tiered =
+      EmbeddingTable::CreateTiered(*source, TierOptions(0, bits, block_rows))
+          .value();
+  const std::vector<float> dequantized = Dequantized(*source, bits);
+  std::vector<float> copied(dim);
+  for (size_t i = 0; i < n; ++i) {
+    tiered->CopyRow(i, copied.data());
+    const float* got = tiered->Get(tiered->key(i)).value();
+    EXPECT_TRUE(BitEqual(got, copied.data(), dim)) << i;
+    EXPECT_TRUE(BitEqual(got, dequantized.data() + i * dim, dim)) << i;
+  }
+  // Batched: unsorted rows spanning every block, duplicates and a miss.
+  std::vector<std::string> batch;
+  std::vector<size_t> batch_rows;
+  Rng rng(11);
+  for (int i = 0; i < 150; ++i) {
+    batch_rows.push_back(rng.Uniform(n));
+    batch.push_back(tiered->key(batch_rows.back()));
+  }
+  batch.push_back("missing");
+  auto rows = tiered->MultiGet(batch);
+  ASSERT_EQ(rows.size(), batch.size());
+  EXPECT_EQ(rows.back(), nullptr);
+  for (size_t i = 0; i < batch_rows.size(); ++i) {
+    ASSERT_NE(rows[i], nullptr);
+    tiered->CopyRow(batch_rows[i], copied.data());
+    EXPECT_TRUE(BitEqual(rows[i], copied.data(), dim)) << i;
+    EXPECT_TRUE(
+        BitEqual(rows[i], dequantized.data() + batch_rows[i] * dim, dim))
+        << i;
+  }
+  EmbeddingTierStats stats = tiered->tier()->stats();
+  EXPECT_EQ(stats.promotions, 0u);
+  EXPECT_EQ(stats.hot_blocks, 0u);
+  EXPECT_EQ(stats.cold_misses, n + batch_rows.size());
+}
+
+TEST_F(TieredEmbeddingTest, HugeBlockRowsCapsAdmissionPrice) {
+  // block_rows = 2^63: 2 * block_rows wraps to 0 in size_t, which would
+  // make every cold read buy the block. The price must cap instead, so
+  // thousands of reads stay row-served even with room in the arena.
+  const size_t n = 40, dim = 4;
+  auto source = ResidentTable("emb", n, dim);
+  auto tiered = EmbeddingTable::CreateTiered(
+                    *source, TierOptions(0, 8, size_t{1} << 63))
+                    .value();
+  ASSERT_EQ(tiered->tier()->num_blocks(), 1u);
+  tiered->tier()->SetHotLimit(1);
+  ASSERT_EQ(tiered->tier()->hot_limit_blocks(), 1u);
+  const std::vector<float> dequantized = Dequantized(*source, 8);
+  std::vector<std::string> batch;
+  for (int copy = 0; copy < 50; ++copy) {
+    for (const std::string& key : KeyRange(0, n)) batch.push_back(key);
+  }
+  for (int round = 0; round < 3; ++round) {
+    auto rows = tiered->MultiGet(batch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(
+          BitEqual(rows[i], dequantized.data() + (i % n) * dim, dim));
+    }
+    const float* got = tiered->Get("k7").value();
+    EXPECT_TRUE(BitEqual(got, dequantized.data() + 7 * dim, dim));
+  }
+  EXPECT_EQ(tiered->tier()->stats().promotions, 0u);
+}
+
+TEST_F(TieredEmbeddingTest, LoadFailpointLeavesAdmissionCounterAlone) {
+  const size_t n = 256, dim = 4, block_rows = 64;
+  auto source = ResidentTable("emb", n, dim);
+  auto tiered = EmbeddingTable::CreateTiered(
+                    *source,
+                    TierOptions(block_rows * dim * sizeof(float), 8,
+                                block_rows))
+                    .value();
+  const EmbeddingTier* tier = tiered->tier();
+  {
+    FailpointConfig config;
+    config.status = Status::ResourceExhausted("cold load down");
+    ScopedFailpoint fp("embedding.tier.load", config);
+    // Far more faulted reads than block 2's price (128): none are charged.
+    for (size_t i = 0; i < 200; ++i) {
+      auto got = tiered->Get("k130");
+      EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+    }
+    auto rows = tiered->MultiGet(KeyRange(128, 192));
+    for (const float* row : rows) EXPECT_EQ(row, nullptr);
+    EmbeddingTierStats stats = tier->stats();
+    EXPECT_EQ(stats.promotions, 0u);
+    EXPECT_EQ(stats.load_faults, 201u);
+    EXPECT_EQ(stats.hot_blocks, 1u);
+  }
+  // Disarmed: block 2 still has its whole price to pay.
+  GetTimes(*tiered, "k130", 128);
+  EXPECT_EQ(tier->stats().promotions, 0u);
+  GetTimes(*tiered, "k130", 1);
+  EXPECT_EQ(tier->stats().promotions, 1u);
 }
 
 TEST_F(TieredEmbeddingTest, ScansRefreshButNeverPromote) {
@@ -536,8 +763,9 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   FeatureStore store(options);
   ASSERT_TRUE(store.RegisterEmbedding(table).ok());
 
-  // Promote a few extra blocks so the snapshot's hot set differs from the
-  // seed layout (restore must reproduce the *current* hot set).
+  // A few cold reads before the snapshot: they are row-served and leave
+  // the seeded hot set in place (restore must reproduce the *current*
+  // hot set).
   for (size_t i = n; i-- > n - 5;) {
     ASSERT_TRUE(store.GetEmbedding("emb", table->key(i)).ok());
   }
