@@ -5,6 +5,19 @@
 #include "common/rng.h"
 
 namespace mlfs {
+
+// Prints a Value by content. Without it gtest dumps the raw object bytes,
+// padding and heap pointers included, so the parameterized test names below
+// would change from build to build. The type prefix keeps Int64(0) and
+// Double(0.0) apart.
+void PrintTo(const Value& v, std::ostream* os) {
+  if (v.is_null()) {
+    *os << "NULL";
+    return;
+  }
+  *os << FeatureTypeToString(v.type()) << ' ' << v.ToString();
+}
+
 namespace {
 
 TEST(SerdeTest, VarintRoundTrip) {
