@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <unordered_set>
 
 #include "common/failpoint.h"
@@ -226,25 +225,17 @@ std::vector<float> EmbeddingTier::LoadBlock(size_t b) const {
 BlockCache::Payload EmbeddingTier::AdmitColdReads(size_t b, size_t reads,
                                                   uint64_t stamp) const {
   // Ski rental. A cold read rents: it decodes only its own row. Buying
-  // promotes the block: it decodes all block_rows rows and, the arena
-  // being full, displaces a hot block that costs as much again to bring
-  // back — so the price is 2 * block_rows row decodes. The one call whose
-  // reads take the rent past the price buys; calls that land while it
-  // does keep renting, and the rent restarts from zero once it is done.
-  // The price is capped at half of size_t, so neither it nor the rent
-  // (which overshoots the price only by reads in flight) can wrap, and
-  // the crossing test subtracts only under `paid <= price`.
-  constexpr size_t kMaxPrice = std::numeric_limits<size_t>::max() / 2;
-  const size_t price =
-      block_rows_ > kMaxPrice / 2 ? kMaxPrice : 2 * block_rows_;
+  // promotes the block: it decodes all block_rows rows. So a block rents
+  // for block_rows - 1 reads, and the read (or batch) that brings its
+  // count to block_rows buys. A call that lands while another buys may
+  // buy too (the cache keeps one copy); the count restarts from zero
+  // once a buy is done. The test subtracts instead of adding, so no
+  // block_rows can make it wrap.
   std::atomic<size_t>& rent = cold_reads_[b];
   const size_t paid = rent.fetch_add(reads, std::memory_order_relaxed);
-  if (paid > price || reads <= price - paid) return nullptr;
-  BlockCache::Payload block;
-  if (cache_->capacity() > 0) {
-    block = LoadBlockPayload(b);
-    cache_->Insert(b, block, BlockBytes(b), stamp);
-  }
+  if (paid < block_rows_ && reads < block_rows_ - paid) return nullptr;
+  BlockCache::Payload block = LoadBlockPayload(b);
+  cache_->Insert(b, block, BlockBytes(b), stamp);
   rent.store(0, std::memory_order_relaxed);
   return block;
 }

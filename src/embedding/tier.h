@@ -28,8 +28,8 @@ struct EmbeddingTierOptions {
   /// Bits per dimension in the packed cold tier (1..16).
   int bits = 8;
   /// Rows per block — the promotion/demotion unit. A cold block is
-  /// promoted by the first read after it has served 2 * block_rows
-  /// cold-row reads (see EmbeddingTier).
+  /// promoted by the read that brings its cold-row reads to block_rows
+  /// (see EmbeddingTier).
   size_t block_rows = 256;
   /// Directory the packed tier file is written into (required).
   std::string dir;
@@ -67,12 +67,10 @@ struct EmbeddingTierStats {
 /// set of "hot" blocks additionally holds float32 rows in RAM. Reads are
 /// served from the hot arena when possible; a cold row is dequantized on
 /// its own from the mapped codes. Admission is ski rental: promoting a
-/// block costs block_rows row decodes for itself plus as many again for
-/// the hot block it displaces, so a block is promoted only once its
-/// cold-row reads since it last became resident have paid that price —
-/// by the first read after 2 * block_rows of them, or by a batch whose
-/// reads would take the rent past it. One-off rows and sequential
-/// point-read passes therefore never evict hot blocks.
+/// block costs block_rows row decodes, so a block is promoted only once
+/// its cold-row reads since it last became resident have paid for it —
+/// by the read (or the batch) that brings their count to block_rows.
+/// One-off rows therefore never evict hot blocks.
 /// All rows a MultiGet batch touches in one block count as a single LRU
 /// access, so one burst cannot monopolize the clock, and full scans
 /// (ScanBlocks) refresh hot stamps without growing the hot set
@@ -205,8 +203,9 @@ class EmbeddingTier {
   /// mapped codes are immutable).
   std::vector<float> LoadBlock(size_t b) const;
   /// Charges `reads` cold-row reads to block `b` (the admission rule).
-  /// When they would take its rent past the price, this promotes the
-  /// block, resets the rent and returns the payload; otherwise null.
+  /// Once its count reaches block_rows, this loads the block, offers it
+  /// to the cache (which refuses it at zero capacity), resets the count
+  /// and returns the payload to serve from; otherwise null.
   /// Callers evaluate the load failpoint first, so a faulted read is not
   /// charged.
   BlockCache::Payload AdmitColdReads(size_t b, size_t reads,

@@ -7,10 +7,10 @@
 // flapping the hot limit (the store's budget rebalancing), and a
 // fault-injection thread arming/disarming the cold-load failpoint. A
 // second soak holds row-decoded cold pointers across whole-block
-// promotions and budget flaps. Asserts the invariants the single-threaded suite pins: every served row
-// is bitwise one of the two legal values (exact or dequantized), pointers
-// stay valid until the thread's next lookup, and the counters are
-// coherent.
+// promotions and budget flaps. Asserts the invariants the
+// single-threaded suite pins: every served row is bitwise one of the two
+// legal values (exact or dequantized), pointers stay valid until the
+// thread's next lookup, and the counters are coherent.
 #include <gtest/gtest.h>
 
 #include <atomic>

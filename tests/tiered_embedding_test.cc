@@ -162,7 +162,7 @@ void GetTimes(const EmbeddingTable& table, const std::string& key,
 }
 
 TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
-  // 4 blocks of 64 rows; a cold block's price is 2 * 64 = 128 reads.
+  // 4 blocks of 64 rows: a cold block is bought by its 64th cold read.
   const size_t n = 256, dim = 4, block_rows = 64;
   auto source = ResidentTable("emb", n, dim);
   auto tiered = EmbeddingTable::CreateTiered(
@@ -181,25 +181,23 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   EXPECT_EQ(stats.hot_hits, 1u);
   EXPECT_EQ(stats.cold_misses, 0u);
 
-  // Two sequential passes over block 2 are row-served: 128 cold reads
-  // pay the price but do not promote, and the seed stays.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t row = 128; row < 192; ++row) {
-      const float* got = tiered->Get("k" + std::to_string(row)).value();
-      EXPECT_TRUE(BitEqual(got, dequantized.data() + row * dim, dim)) << row;
-    }
+  // 63 cold reads of block 2 are row-served and leave the seed alone.
+  for (size_t row = 128; row < 191; ++row) {
+    const float* got = tiered->Get("k" + std::to_string(row)).value();
+    EXPECT_TRUE(BitEqual(got, dequantized.data() + row * dim, dim)) << row;
   }
   stats = tier->stats();
-  EXPECT_EQ(stats.cold_misses, 128u);
+  EXPECT_EQ(stats.cold_misses, 63u);
   EXPECT_EQ(stats.promotions, 0u);
   EXPECT_EQ(stats.demotions, 0u);
   EXPECT_EQ(stats.hot_blocks, 1u);
   EXPECT_EQ(stats.hot_hits, 1u);
 
-  // The next cold read buys block 2: promote it, demote block 0.
-  ASSERT_TRUE(tiered->Get("k191").ok());
+  // The 64th buys block 2: promote it, demote block 0 (budget 1).
+  const float* bought = tiered->Get("k191").value();
+  EXPECT_TRUE(BitEqual(bought, dequantized.data() + 191 * dim, dim));
   stats = tier->stats();
-  EXPECT_EQ(stats.cold_misses, 129u);
+  EXPECT_EQ(stats.cold_misses, 64u);
   EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_EQ(stats.hot_blocks, 1u);
@@ -215,8 +213,8 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   EXPECT_TRUE(BitEqual(got.data(), dequantized.data(), dim));
 
   // Repeated reads of one row count like distinct rows: block 0 is
-  // bought by its 129th cold read (demoting block 2).
-  GetTimes(*tiered, "k5", 128);
+  // bought by its 64th cold read, not its 63rd (demoting block 2).
+  GetTimes(*tiered, "k5", 63);
   stats = tier->stats();
   EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.demotions, 1u);
@@ -224,22 +222,31 @@ TEST_F(TieredEmbeddingTest, PromotionAndDemotionCounters) {
   stats = tier->stats();
   EXPECT_EQ(stats.promotions, 2u);
   EXPECT_EQ(stats.demotions, 2u);
-  EXPECT_EQ(stats.cold_misses, 258u);
+  EXPECT_EQ(stats.cold_misses, 128u);
 
-  // Block 2's rent was reset when it was promoted, so its 129 earlier
-  // reads count for nothing now that it is cold again.
-  GetTimes(*tiered, "k150", 128);
+  // The count restarts after a demotion: block 2's 64 reads were spent
+  // on its promotion, so now that it is cold again it needs 64 more.
+  GetTimes(*tiered, "k150", 63);
   EXPECT_EQ(tier->stats().promotions, 2u);
   GetTimes(*tiered, "k150", 1);
   stats = tier->stats();
   EXPECT_EQ(stats.promotions, 3u);
   EXPECT_EQ(stats.demotions, 3u);
-  EXPECT_EQ(stats.cold_misses, 387u);
+  EXPECT_EQ(stats.cold_misses, 192u);
   EXPECT_EQ(stats.hot_hits, 2u);
+
+  // With room in the arena a purchase demotes nothing.
+  tier->SetHotLimit(2);
+  GetTimes(*tiered, "k200", 64);
+  stats = tier->stats();
+  EXPECT_EQ(stats.promotions, 4u);
+  EXPECT_EQ(stats.demotions, 3u);
+  EXPECT_EQ(stats.hot_blocks, 2u);
+  EXPECT_EQ(stats.cold_misses, 256u);
 }
 
 TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
-  const size_t n = 256, dim = 4, block_rows = 64;  // Price: 128 reads.
+  const size_t n = 256, dim = 4, block_rows = 64;
   auto source = ResidentTable("emb", n, dim);
   auto tiered = EmbeddingTable::CreateTiered(
                     *source,
@@ -268,14 +275,11 @@ TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
     EXPECT_TRUE(BitEqual(rows[10 + i], source->row(i), dim));
   }
 
-  // 118 more reads of block 3 (every row, then 54 again) bring its rent
-  // to exactly the price: still cold.
-  batch = KeyRange(192, 256);
-  for (const std::string& key : KeyRange(192, 246)) batch.push_back(key);
-  rows = tiered->MultiGet(batch);
+  // 53 more reads of block 3 bring its count to 63: still cold.
+  rows = tiered->MultiGet(KeyRange(202, 255));
   stats = tier->stats();
   EXPECT_EQ(stats.promotions, 0u);
-  EXPECT_EQ(stats.cold_misses, 128u);
+  EXPECT_EQ(stats.cold_misses, 63u);
 
   // The next batch touching block 3 buys it — one promotion however many
   // of the batch's rows the block serves. Under a 2-block budget that
@@ -287,7 +291,7 @@ TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
   EXPECT_EQ(stats.promotions, 1u);
   EXPECT_EQ(stats.demotions, 1u);
   EXPECT_EQ(stats.hot_blocks, 2u);
-  EXPECT_EQ(stats.cold_misses, 134u);
+  EXPECT_EQ(stats.cold_misses, 69u);
   EXPECT_EQ(stats.hot_hits, 4u);
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(BitEqual(rows[i], dequantized.data() + (250 + i) * dim, dim));
@@ -298,36 +302,40 @@ TEST_F(TieredEmbeddingTest, BatchPromotionCountsBlocksNotRows) {
   EXPECT_EQ(tier->stats().hot_hits, 6u);
   EXPECT_TRUE(BitEqual(rows[0], dequantized.data() + 192 * dim, dim));
 
-  // One batch whose reads of a cold block exceed the price promotes it at
-  // once (block 1: 129 reads), while exactly the price does not (block 2:
-  // 128 reads). Duplicate rows count as reads and share one pointer.
-  batch.clear();
-  for (int copy = 0; copy < 2; ++copy) {
-    for (const std::string& key : KeyRange(64, 128)) batch.push_back(key);
-    for (const std::string& key : KeyRange(128, 192)) batch.push_back(key);
-  }
-  batch.push_back("k64");
+  // One batch carrying block_rows reads of a cold block promotes it at
+  // once (block 1: 32 rows, twice), while 63 reads do not (block 2).
+  // Duplicate rows count as reads and share one pointer, whether served
+  // from the promoted block or decoded on their own.
+  batch = KeyRange(64, 96);
+  for (const std::string& key : KeyRange(64, 96)) batch.push_back(key);
+  for (const std::string& key : KeyRange(128, 160)) batch.push_back(key);
+  for (const std::string& key : KeyRange(128, 159)) batch.push_back(key);
   rows = tiered->MultiGet(batch);
   stats = tier->stats();
   EXPECT_EQ(stats.promotions, 2u);
   EXPECT_EQ(stats.demotions, 2u);
-  EXPECT_EQ(stats.cold_misses, 134u + 257u);
-  for (size_t i = 0; i < 128; ++i) {
-    EXPECT_EQ(rows[i], rows[128 + i]) << "duplicates share one pointer";
+  EXPECT_EQ(stats.cold_misses, 196u);
+  for (size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(rows[i], rows[32 + i]) << "duplicates share one pointer";
+  }
+  for (size_t i = 0; i < 31; ++i) {
+    EXPECT_EQ(rows[64 + i], rows[96 + i]) << "duplicates share one pointer";
   }
   for (size_t i = 0; i < batch.size(); ++i) {
     const size_t row = std::stoul(batch[i].substr(1));
     EXPECT_TRUE(BitEqual(rows[i], dequantized.data() + row * dim, dim)) << i;
   }
 
-  // Block 1 serves hot now; the next read of block 2 buys it.
+  // Block 1 serves hot now; the next read of block 2 buys it and demotes
+  // block 3, the least recently used.
   rows = tiered->MultiGet({"k64", "k191"});
   stats = tier->stats();
   EXPECT_EQ(stats.hot_hits, 7u);
-  EXPECT_EQ(stats.cold_misses, 392u);
+  EXPECT_EQ(stats.cold_misses, 197u);
   EXPECT_EQ(stats.promotions, 3u);
   EXPECT_EQ(stats.demotions, 3u);
   EXPECT_EQ(stats.hot_blocks, 2u);
+  EXPECT_TRUE(BitEqual(rows[1], dequantized.data() + 191 * dim, dim));
 }
 
 TEST_F(TieredEmbeddingTest, RowServedColdRowsMatchCopyRowAndCodec) {
@@ -373,10 +381,10 @@ TEST_F(TieredEmbeddingTest, RowServedColdRowsMatchCopyRowAndCodec) {
   EXPECT_EQ(stats.cold_misses, n + batch_rows.size());
 }
 
-TEST_F(TieredEmbeddingTest, HugeBlockRowsCapsAdmissionPrice) {
-  // block_rows = 2^63: 2 * block_rows wraps to 0 in size_t, which would
-  // make every cold read buy the block. The price must cap instead, so
-  // thousands of reads stay row-served even with room in the arena.
+TEST_F(TieredEmbeddingTest, HugeBlockRowsStaysRowServed) {
+  // block_rows = 2^63: the admission test must not wrap (it subtracts
+  // from block_rows rather than adding to the count), so thousands of
+  // reads stay row-served even with room in the arena.
   const size_t n = 40, dim = 4;
   auto source = ResidentTable("emb", n, dim);
   auto tiered = EmbeddingTable::CreateTiered(
@@ -415,7 +423,7 @@ TEST_F(TieredEmbeddingTest, LoadFailpointLeavesAdmissionCounterAlone) {
     FailpointConfig config;
     config.status = Status::ResourceExhausted("cold load down");
     ScopedFailpoint fp("embedding.tier.load", config);
-    // Far more faulted reads than block 2's price (128): none are charged.
+    // Far more faulted reads than block 2's price (64): none are charged.
     for (size_t i = 0; i < 200; ++i) {
       auto got = tiered->Get("k130");
       EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
@@ -428,7 +436,7 @@ TEST_F(TieredEmbeddingTest, LoadFailpointLeavesAdmissionCounterAlone) {
     EXPECT_EQ(stats.hot_blocks, 1u);
   }
   // Disarmed: block 2 still has its whole price to pay.
-  GetTimes(*tiered, "k130", 128);
+  GetTimes(*tiered, "k130", 63);
   EXPECT_EQ(tier->stats().promotions, 0u);
   GetTimes(*tiered, "k130", 1);
   EXPECT_EQ(tier->stats().promotions, 1u);
@@ -763,12 +771,18 @@ TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
   FeatureStore store(options);
   ASSERT_TRUE(store.RegisterEmbedding(table).ok());
 
-  // A few cold reads before the snapshot: they are row-served and leave
-  // the seeded hot set in place (restore must reproduce the *current*
-  // hot set).
-  for (size_t i = n; i-- > n - 5;) {
-    ASSERT_TRUE(store.GetEmbedding("emb", table->key(i)).ok());
+  // Promote an extra block so the snapshot's hot set differs from the
+  // seed layout (restore must reproduce the *current* hot set): one batch
+  // reading the last row block_rows times buys its block and demotes a
+  // seed.
+  const std::vector<std::string> promote(32, table->key(n - 1));
+  auto tier_table = store.embeddings().GetLatest("emb").value();
+  ASSERT_TRUE(tier_table->tiered());
+  for (const float* row : tier_table->MultiGet(promote)) {
+    ASSERT_NE(row, nullptr);
   }
+  ASSERT_EQ(tier_table->tier()->stats().promotions, 1u);
+  ASSERT_EQ(tier_table->tier()->stats().demotions, 1u);
 
   std::vector<std::vector<float>> before;
   for (size_t i = 0; i < n; ++i) {
