@@ -60,7 +60,7 @@ struct ScanFixture {
   std::vector<AsOfRequest> requests;
   std::vector<Row> rows;  // Kept for the lazily-built cold-read tables.
   std::string spill_dir;
-  std::map<int64_t, OfflineTable*> cold_tables;  // (budget_pct << 1) | ra.
+  std::map<int64_t, OfflineTable*> cold_tables;  // By budget_pct.
 
   ScanFixture() {
     schema = WideSchema();
@@ -130,18 +130,15 @@ struct ScanFixture {
   }
 
   /// A table with `budget_pct`% of the sealed tier's resident bytes as
-  /// its memory budget (the rest spills) and readahead on or off — the
-  /// cold-read regime where async prefetch should pay. Built lazily, one
-  /// per (budget, ra) combination.
-  OfflineTable* ColdTable(int64_t budget_pct, int64_t ra) {
-    const int64_t key = (budget_pct << 1) | ra;
-    auto it = cold_tables.find(key);
+  /// its memory budget (the rest spills) — the cold-read regime. Built
+  /// lazily, one per budget.
+  OfflineTable* ColdTable(int64_t budget_pct) {
+    auto it = cold_tables.find(budget_pct);
     if (it != cold_tables.end()) return it->second;
     const size_t sealed_bytes =
         tables[kSealedTier]->storage_stats().resident_segment_bytes;
     OfflineTableOptions options;
-    options.name = "events_cold_" + std::to_string(budget_pct) +
-                   (ra != 0 ? "_ra" : "");
+    options.name = "events_cold_" + std::to_string(budget_pct);
     options.schema = schema;
     options.entity_column = "entity";
     options.time_column = "event_time";
@@ -149,8 +146,6 @@ struct ScanFixture {
     options.memory_budget_bytes =
         sealed_bytes * static_cast<size_t>(budget_pct) / 100;
     options.spill_dir = spill_dir;
-    options.readahead.enabled = ra != 0;
-    options.readahead.max_in_flight = 4;
     MLFS_CHECK_OK(store.CreateTable(options));
     OfflineTable* table = store.GetTable(options.name).value();
     MLFS_CHECK_OK(table->AppendBatch(rows));
@@ -158,7 +153,7 @@ struct ScanFixture {
     MLFS_CHECK_OK(table->CompactPartitions());
     MLFS_CHECK_OK(table->EnforceMemoryBudget());
     MLFS_CHECK(table->storage_stats().spilled_segments > 0);
-    cold_tables[key] = table;
+    cold_tables[budget_pct] = table;
     return table;
   }
 };
@@ -249,40 +244,26 @@ BENCHMARK(BM_AsOfBatchProjected)
     ->Unit(benchmark::kMillisecond);
 
 // The cold-read regime: most of the table lives in spilled segments and a
-// key-sorted batch walks several of them. With readahead on, the next
-// spilled segment's pages are faulted in on a worker thread while the
-// gather cursor drains the current one.
+// key-sorted batch walks several of them, faulting each one's pages in
+// on first touch.
 void BM_AsOfBatchColdRead(benchmark::State& state) {
   auto& fixture = Fixture();
-  OfflineTable* table = fixture.ColdTable(state.range(0), state.range(1));
+  OfflineTable* table = fixture.ColdTable(state.range(0));
   std::vector<uint64_t> miss_bitmap;
   AsOfReadOptions options;
   options.miss_bitmap = &miss_bitmap;
-  options.readahead_depth = static_cast<size_t>(state.range(2));
   for (auto _ : state) {
     std::vector<Row> results(fixture.requests.size());
     MLFS_CHECK_OK(table->AsOfBatch(fixture.requests, results, options));
     benchmark::DoNotOptimize(results);
   }
   state.SetItemsProcessed(state.iterations() * fixture.requests.size());
-  const ReadaheadStats ra = table->storage_stats().readahead;
-  state.counters["ra_issued"] = static_cast<double>(ra.issued);
-  state.counters["ra_hits"] = static_cast<double>(ra.hits);
-  state.counters["ra_wasted"] = static_cast<double>(ra.wasted);
 }
-// The depth axis only matters with readahead on (ra:1): depth N keeps N
-// spilled segments warming ahead of the gather cursor instead of one.
 BENCHMARK(BM_AsOfBatchColdRead)
-    ->ArgNames({"budget_pct", "ra", "depth"})
-    ->Args({10, 0, 1})
-    ->Args({10, 1, 1})
-    ->Args({10, 1, 4})
-    ->Args({25, 0, 1})
-    ->Args({25, 1, 1})
-    ->Args({25, 1, 4})
-    ->Args({50, 0, 1})
-    ->Args({50, 1, 1})
-    ->Args({50, 1, 4})
+    ->ArgNames({"budget_pct"})
+    ->Arg(10)
+    ->Arg(25)
+    ->Arg(50)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -54,7 +54,6 @@ EmbeddingTierOptions EmbeddingStore::TierOptionsLocked(
   options.file_stem = SanitizeFileStem(metadata.name) + "_v" +
                       std::to_string(metadata.version);
   options.remove_file_on_destroy = true;
-  options.readahead = tier_policy_.readahead;
   return options;
 }
 
@@ -324,15 +323,6 @@ EmbeddingStoreTierStats EmbeddingStore::TierStats() const {
       out.tier.hot_limit_blocks += s.hot_limit_blocks;
       out.tier.resident_bytes += s.resident_bytes;
       out.tier.packed_bytes += s.packed_bytes;
-      out.tier.readahead.issued += s.readahead.issued;
-      out.tier.readahead.completed += s.readahead.completed;
-      out.tier.readahead.hits += s.readahead.hits;
-      out.tier.readahead.misses += s.readahead.misses;
-      out.tier.readahead.wasted += s.readahead.wasted;
-      out.tier.readahead.dropped += s.readahead.dropped;
-      out.tier.readahead.deduped += s.readahead.deduped;
-      out.tier.readahead.faults += s.readahead.faults;
-      out.tier.readahead.in_flight += s.readahead.in_flight;
     }
   }
   return out;

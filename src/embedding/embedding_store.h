@@ -36,9 +36,6 @@ struct EmbeddingTierPolicy {
   /// Where tier files are written; empty means
   /// <system temp dir>/mlfs_emb. Files are removed with their tables.
   std::string spill_dir;
-  /// Async next-block readahead for the scans of every tier created under
-  /// this policy (see ReadaheadOptions; disabled by default).
-  ReadaheadOptions readahead;
 };
 
 /// Aggregate tiering counters across every table version in the store.

@@ -153,7 +153,6 @@ Status EmbeddingTier::WriteAndMap(const PackedCodes& packed,
                blocks_count_);
   cache_ = std::make_unique<BlockCache>(blocks_count_, hot_limit);
   cold_reads_ = std::make_unique<std::atomic<size_t>[]>(blocks_count_);
-  readahead_ = std::make_unique<ReadaheadScheduler>(options.readahead);
   return Status::OK();
 }
 
@@ -393,16 +392,6 @@ Status EmbeddingTier::ScanBlocks(
   }
   scans_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t stamp = cache_->BeginBatch();
-  // Sequential-scan readahead: while fn chews on block b, the scheduler
-  // dequantizes the next cold block. Peek keeps the probe from
-  // perturbing LRU order.
-  const bool ra = readahead_->enabled();
-  auto prefetch_next = [&](size_t next) {
-    if (!ra || next >= blocks_count_ || cache_->Peek(next) != nullptr) return;
-    readahead_->Prefetch(next,
-                         [this, next] { return LoadBlockPayload(next); });
-  };
-  prefetch_next(0);
   std::vector<float> scratch;
   for (size_t b = 0; b < blocks_count_; ++b) {
     const size_t row0 = BlockRow0(b);
@@ -410,20 +399,14 @@ Status EmbeddingTier::ScanBlocks(
     // Refresh so a scan keeps the hot set warm, but never promote: a
     // full ANN pass must not flush the point-lookup working set.
     BlockCache::Payload local = cache_->Touch(b, stamp);
-    prefetch_next(b + 1);
     if (local != nullptr) {
       fn(row0, nrows, BlockFloats(local));
       continue;
     }
     scan_cold_blocks_.fetch_add(1, std::memory_order_relaxed);
-    BlockCache::Payload fetched = ra ? readahead_->Consume(b) : nullptr;
-    if (fetched != nullptr) {
-      fn(row0, nrows, BlockFloats(fetched));
-    } else {
-      scratch.resize(nrows * dim_);
-      DequantizeRange(MapView(), row0, nrows, scratch.data());
-      fn(row0, nrows, scratch.data());
-    }
+    scratch.resize(nrows * dim_);
+    DequantizeRange(MapView(), row0, nrows, scratch.data());
+    fn(row0, nrows, scratch.data());
   }
   return Status::OK();
 }
@@ -447,7 +430,6 @@ EmbeddingTierStats EmbeddingTier::stats() const {
   s.hot_limit_blocks = cs.capacity_blocks;
   s.resident_bytes = cs.resident_bytes;
   s.packed_bytes = file_->size();
-  s.readahead = readahead_->stats();
   return s;
 }
 

@@ -15,7 +15,6 @@
 #include "embedding/compress.h"
 #include "io/block_cache.h"
 #include "io/block_file.h"
-#include "io/readahead.h"
 
 namespace mlfs {
 
@@ -38,11 +37,6 @@ struct EmbeddingTierOptions {
   /// Tier files are scratch by default: deleted when the tier is
   /// destroyed. Snapshots embed the packed codes, not the file path.
   bool remove_file_on_destroy = true;
-  /// Async next-block prefetch for ScanBlocks (io/readahead.h).
-  /// Default-disabled; served bytes are identical either way
-  /// (dequantization is deterministic), readahead only moves it off the
-  /// scanning thread.
-  ReadaheadOptions readahead;
 };
 
 /// Monotonic tier counters plus a point-in-time occupancy snapshot.
@@ -59,7 +53,6 @@ struct EmbeddingTierStats {
   size_t hot_limit_blocks = 0;
   size_t resident_bytes = 0;  // Hot arena bytes right now.
   size_t packed_bytes = 0;    // Size of the mmap'd tier file.
-  ReadaheadStats readahead;   // Cold-block prefetch counters.
 };
 
 /// The out-of-core half of a tiered EmbeddingTable (MLKV-style): every row
@@ -81,9 +74,8 @@ struct EmbeddingTierStats {
 /// BlockFile ("MLET" magic in the common envelope, spilled with the
 /// WriteFileAtomic + mmap-reopen discipline and fully validated at open),
 /// the hot arena is a BlockCache (batch-granular scan-resistant LRU with
-/// the shared thread-local pin set), and ScanBlocks' next-block prefetch
-/// runs on a ReadaheadScheduler. This file owns the quantization codec, the
-/// row-addressing geometry and the admission rule.
+/// the shared thread-local pin set). This file owns the quantization codec,
+/// the row-addressing geometry and the admission rule.
 ///
 ///   body: u32 bits, u64 n, u64 dim, u64 block_rows,
 ///         float lo[dim], float hi[dim], codes[n * row_bytes]
@@ -100,11 +92,10 @@ struct EmbeddingTierStats {
 /// a read needs cold rows or a scan starts (GetRow/ScanBlocks propagate
 /// the injected status; MultiGetRows degrades the cold rows to misses;
 /// neither charges the faulted reads toward admission);
-/// "io.load" (in BlockFile::Map) and "io.readahead" (in the scheduler)
-/// fire underneath.
+/// "io.load" (in BlockFile::Map) fires underneath.
 ///
-/// Thread-safe; the cache and scheduler carry their own locks,
-/// dequantization runs outside all of them.
+/// Thread-safe; the cache carries its own lock, dequantization runs
+/// outside it.
 class EmbeddingTier {
  public:
   /// Packs `data` (n x dim row-major float32), writes + maps the tier
@@ -144,8 +135,7 @@ class EmbeddingTier {
   /// Streams every row block-wise in ascending row order:
   /// fn(row0, nrows, rows) where `rows` is nrows x dim floats — the hot
   /// arena directly, or a per-call scratch for dequantized cold blocks.
-  /// Refreshes hot stamps, never promotes. With readahead enabled the
-  /// next cold block dequantizes on the scheduler while fn runs.
+  /// Refreshes hot stamps, never promotes.
   Status ScanBlocks(
       const std::function<void(size_t row0, size_t nrows, const float* rows)>&
           fn) const;
@@ -182,8 +172,7 @@ class EmbeddingTier {
   EmbeddingTier() = default;
 
   /// Encodes the packed matrix into the shared envelope, spills it via
-  /// BlockFile (atomic write + mmap reopen), and wires up the cache and
-  /// readahead scheduler.
+  /// BlockFile (atomic write + mmap reopen), and wires up the cache.
   Status WriteAndMap(const PackedCodes& packed, const EmbeddingTierOptions&
                      options);
   /// Validates the mapped body and wires up codes_/lo/hi/steps.
@@ -210,8 +199,7 @@ class EmbeddingTier {
   /// charged.
   BlockCache::Payload AdmitColdReads(size_t b, size_t reads,
                                      uint64_t stamp) const;
-  /// LoadBlock as a cache payload (what promotions and readahead jobs
-  /// materialize).
+  /// LoadBlock as a cache payload (what a promotion materializes).
   BlockCache::Payload LoadBlockPayload(size_t b) const {
     return std::make_shared<const std::vector<float>>(LoadBlock(b));
   }
@@ -230,16 +218,13 @@ class EmbeddingTier {
   PackedDecodeTables tables_;
   const uint8_t* codes_ = nullptr;
 
-  // The mapped tier file; declared before the cache and scheduler so
-  // in-flight readahead jobs (which read the mapped codes) drain first.
-  BlockFilePtr file_;
+  BlockFilePtr file_;  // The mapped tier file.
   std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ReadaheadScheduler> readahead_;
   // Cold-row reads per block since it last became resident (admission
   // rent); reset when the block is bought.
   std::unique_ptr<std::atomic<size_t>[]> cold_reads_;
 
-  // Tier-specific counters (the cache and scheduler keep their own).
+  // Tier-specific counters (the cache keeps its own).
   mutable std::atomic<uint64_t> scans_{0};
   mutable std::atomic<uint64_t> scan_cold_blocks_{0};
   mutable std::atomic<uint64_t> load_faults_{0};

@@ -86,16 +86,6 @@ class BlockFile {
   const std::string& path() const { return path_; }
   size_t size() const { return data_.size(); }
 
-  /// Hints the kernel to start paging in [offset, offset + len) of the
-  /// whole envelope (madvise WILLNEED). No-op for resident blobs.
-  void AdviseWillNeed(size_t offset, size_t len) const;
-
-  /// Faults in one byte per page of [offset, offset + len) — the
-  /// background-materialization half of readahead, run off the serving
-  /// thread so the gather loop takes no major faults. No-op for resident
-  /// blobs.
-  void TouchPages(size_t offset, size_t len) const;
-
  private:
   BlockFile() = default;
 

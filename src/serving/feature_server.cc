@@ -60,6 +60,22 @@ FeatureServer::FeatureServer(const OnlineStore* store,
   }
 }
 
+template <typename Refetch>
+void FeatureServer::RetryTransient(StatusOr<Row>* row, const Refetch& refetch,
+                                   uint64_t* retries) const {
+  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
+  for (uint32_t attempt = 1;
+       !row->ok() && IsTransient(row->status()) && attempt < max_attempts;
+       ++attempt) {
+    if (options_.initial_backoff_micros > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          options_.initial_backoff_micros << (attempt - 1)));
+    }
+    ++*retries;
+    *row = refetch();
+  }
+}
+
 EmbeddingTablePtr FeatureServer::ResolveEmbeddingFeature(
     const std::string& feature) const {
   // Online views win: a materialized view named like an embedding keeps
@@ -139,7 +155,6 @@ StatusOr<FeatureVector> FeatureServer::GetFeatures(
     Timestamp now) const {
   MLFS_FAILPOINT("feature_server.get");
   const double start = NowMicros();
-  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
   uint64_t retries = 0;
   FeatureVector out;
   out.names = features;
@@ -183,16 +198,10 @@ StatusOr<FeatureVector> FeatureServer::GetFeatures(
               : StatusOr<Row>(Status::NotFound("no source rows ingested for '" +
                                                comp->reg.def.source_table +
                                                "'"));
-      for (uint32_t attempt = 1;
-           !row.ok() && IsTransient(row.status()) && attempt < max_attempts;
-           ++attempt) {
-        if (options_.initial_backoff_micros > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              options_.initial_backoff_micros << (attempt - 1)));
-        }
-        ++retries;
-        row = store_->Get(comp->mirror_view, entity_key, now);
-      }
+      RetryTransient(
+          &row,
+          [&] { return store_->Get(comp->mirror_view, entity_key, now); },
+          &retries);
       bool transient = false;
       StatusOr<Value> value = [&]() -> StatusOr<Value> {
         if (!row.ok()) {
@@ -228,16 +237,8 @@ StatusOr<FeatureVector> FeatureServer::GetFeatures(
       out.stale.push_back(std::move(note));
     }
     StatusOr<Row> row = store_->Get(feature, entity_key, now);
-    for (uint32_t attempt = 1;
-         !row.ok() && IsTransient(row.status()) && attempt < max_attempts;
-         ++attempt) {
-      if (options_.initial_backoff_micros > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(
-            options_.initial_backoff_micros << (attempt - 1)));
-      }
-      ++retries;
-      row = store_->Get(feature, entity_key, now);
-    }
+    RetryTransient(
+        &row, [&] { return store_->Get(feature, entity_key, now); }, &retries);
     if (!row.ok()) {
       const bool transient = IsTransient(row.status());
       if (options_.missing_policy == MissingFeaturePolicy::kError) {
@@ -281,7 +282,6 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
       n, StatusOr<FeatureVector>(
              Status::Internal("GetFeaturesBatch: slot not filled")));
   if (n == 0) return out;
-  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
 
   // Stage 1 — fetch: one shard-grouped MultiGet per requested view, then
   // per-(entity, feature)-cell retry with backoff for transient errors.
@@ -334,17 +334,9 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
       column = store_->MultiGet(view, entity_keys, now);
       uint64_t retries = 0;
       for (size_t i = 0; i < n; ++i) {
-        StatusOr<Row>& cell = column[i];
-        for (uint32_t attempt = 1; !cell.ok() && IsTransient(cell.status()) &&
-                                   attempt < max_attempts;
-             ++attempt) {
-          if (options_.initial_backoff_micros > 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                options_.initial_backoff_micros << (attempt - 1)));
-          }
-          ++retries;
-          cell = store_->Get(view, entity_keys[i], now);
-        }
+        RetryTransient(
+            &column[i], [&] { return store_->Get(view, entity_keys[i], now); },
+            &retries);
       }
       if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
     }
@@ -433,16 +425,9 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
     uint64_t retries = 0;
     for (size_t i = 0; i < n; ++i) {
       StatusOr<Row>& cell = column[i];
-      for (uint32_t attempt = 1;
-           !cell.ok() && IsTransient(cell.status()) && attempt < max_attempts;
-           ++attempt) {
-        if (options_.initial_backoff_micros > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              options_.initial_backoff_micros << (attempt - 1)));
-        }
-        ++retries;
-        cell = store_->Get(features[j], entity_keys[i], now);
-      }
+      RetryTransient(
+          &cell, [&] { return store_->Get(features[j], entity_keys[i], now); },
+          &retries);
       if (cell.ok() && layout[j].first < 0) {
         layout[j] = {cell->schema()->FieldIndex("value"),
                      cell->schema()->FieldIndex("event_time")};

@@ -52,9 +52,9 @@ struct FeatureServerStats {
   uint64_t degraded_features = 0;
   /// Responses containing at least one degraded feature.
   uint64_t degraded_responses = 0;
-  /// Aggregate tier + readahead I/O counters for the attached embedding
-  /// store (all zero when the server has no embedding store) — the
-  /// operator-facing view of cold-path behavior behind serving.
+  /// Aggregate tier I/O counters for the attached embedding store (all
+  /// zero when the server has no embedding store) — the operator-facing
+  /// view of cold-path behavior behind serving.
   EmbeddingStoreTierStats embedding_tiers;
 };
 
@@ -176,6 +176,14 @@ class FeatureServer {
   static constexpr size_t kMetricsStripes = 8;
 
   void RecordLatency(double micros, uint64_t num_requests) const;
+
+  /// Re-issues `refetch` while `*row` holds a transient error, up to
+  /// options_.max_attempts attempts in all, sleeping
+  /// initial_backoff_micros << (attempt - 1) before each; every re-issue
+  /// adds one to `*retries`.
+  template <typename Refetch>
+  void RetryTransient(StatusOr<Row>* row, const Refetch& refetch,
+                      uint64_t* retries) const;
 
   /// Resolved embedding table for a requested feature name, or null when
   /// the name should go through the online-view path.

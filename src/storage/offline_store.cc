@@ -29,7 +29,6 @@ OfflineTable::OfflineTable(OfflineTableOptions options)
   for (size_t i = 0; i < all_columns_.size(); ++i) {
     all_columns_[i] = static_cast<int>(i);
   }
-  readahead_ = std::make_unique<ReadaheadScheduler>(options_.readahead);
 }
 
 OfflineTable::~OfflineTable() { StopMaintenance(); }
@@ -533,41 +532,6 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
   const bool projected = !options.columns.empty();
   std::vector<const Row*> head_hits(n, nullptr);
   std::vector<Value> values;
-  // Readahead plan: the gather below touches spilled segments in a
-  // deterministic first-touch order, so warm upcoming segments' pages
-  // (madvise + touch, off-thread) while the cursor works the current one.
-  // Keys are segment addresses — stable for the duration of the shared
-  // lock. ra_order[0] is being read immediately, so prefetching starts at
-  // ra_order[1]; options.readahead_depth segments are kept in flight
-  // ahead of the cursor.
-  std::vector<const Segment*> ra_order;
-  size_t ra_next = 1;
-  size_t ra_issued = 1;
-  const size_t ra_depth = std::max<size_t>(1, options.readahead_depth);
-  auto issue_prefetches_until = [&](size_t end) {
-    for (end = std::min(end, ra_order.size()); ra_issued < end; ++ra_issued) {
-      const Segment* next = ra_order[ra_issued];
-      readahead_->Prefetch(
-          reinterpret_cast<uintptr_t>(next),
-          [next]() -> ReadaheadScheduler::Payload {
-            next->PrefetchSpill();
-            return nullptr;  // Page warming: nothing to park.
-          });
-    }
-  };
-  if (readahead_->enabled()) {
-    for (i = 0; i < n; ++i) {
-      if (hits[i] == nullptr) continue;
-      RowLoc loc = Resolve(*hits[i]->part, hits[i]->ordinal);
-      if (loc.seg != nullptr && loc.seg->spilled() &&
-          (ra_order.empty() || ra_order.back() != loc.seg) &&
-          std::find(ra_order.begin(), ra_order.end(), loc.seg) ==
-              ra_order.end()) {
-        ra_order.push_back(loc.seg);
-      }
-    }
-    issue_prefetches_until(1 + ra_depth);
-  }
   for (i = 0; i < n; ++i) {
     const GlobalPosting* g = hits[i];
     if (g == nullptr) {
@@ -577,14 +541,6 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       continue;
     }
     RowLoc loc = Resolve(*g->part, g->ordinal);
-    // First touch of the next planned segment: claim its prefetch (hit
-    // accounting; pages are warm or warming) and top the pipeline back up
-    // to `ra_depth` segments in flight ahead of the cursor.
-    if (ra_next < ra_order.size() && loc.seg == ra_order[ra_next]) {
-      readahead_->Consume(reinterpret_cast<uintptr_t>(loc.seg));
-      ++ra_next;
-      issue_prefetches_until(ra_next + ra_depth);
-    }
     if (loc.head != nullptr && !projected) {
       head_hits[i] = loc.head;
       continue;
@@ -765,7 +721,6 @@ OfflineStorageStats OfflineTable::storage_stats() const {
       maintenance_errors_.load(std::memory_order_relaxed);
   stats.scan_segments_skipped =
       scan_segments_skipped_.load(std::memory_order_relaxed);
-  stats.readahead = readahead_->stats();
   return stats;
 }
 

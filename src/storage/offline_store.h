@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "common/timestamp.h"
 #include "expr/evaluator.h"
-#include "io/readahead.h"
 #include "storage/segment.h"
 
 namespace mlfs {
@@ -57,12 +56,6 @@ struct AsOfReadOptions {
   /// Results are byte-identical either way (pinned by a differential
   /// test); the knob exists so that equivalence stays testable.
   bool prune_time_ranges = true;
-  /// Spilled-segment prefetch pipeline depth for this call: AsOfBatch
-  /// keeps up to this many segments ahead of the gather cursor warming
-  /// concurrently (>= 1; meaningful only when the table's readahead is
-  /// enabled). Deeper pipelines help when per-segment gather time is
-  /// shorter than a segment's fault-in time.
-  size_t readahead_depth = 1;
 };
 
 /// Tests bit `i` of a miss bitmap produced by AsOfBatch.
@@ -125,11 +118,6 @@ struct OfflineTableOptions {
   size_t compact_min_segments = 4;
   /// Segment-selection policy for RunMaintenance() compaction.
   CompactionPolicy compaction_policy = CompactionPolicy::kSegmentCount;
-  /// Async spilled-segment prefetch for AsOfBatch (io/readahead.h): while
-  /// the gather cursor works one spilled segment, the scheduler faults in
-  /// the next one's pages off-thread. Default-disabled; results are
-  /// byte-identical either way.
-  ReadaheadOptions readahead;
 };
 
 /// Storage-tier counters for one table (see storage_stats()).
@@ -150,8 +138,6 @@ struct OfflineStorageStats {
   /// ScanIf / ScanColumns / pushdown scans) — how much work the
   /// segment-level time index saved.
   uint64_t scan_segments_skipped = 0;
-  /// Spilled-segment prefetch counters (zeros when readahead is off).
-  ReadaheadStats readahead;
 };
 
 /// Append-only, time-partitioned table of historical feature rows: the
@@ -425,10 +411,6 @@ class OfflineTable {
   std::mutex maintenance_mu_;
   uint64_t spill_seq_ = 0;  // Guarded by maintenance_mu_.
   std::atomic<uint64_t> maintenance_errors_{0};
-
-  /// Spilled-segment prefetcher for AsOfBatch; always constructed (a
-  /// disabled scheduler no-ops), carries its own locks.
-  std::unique_ptr<ReadaheadScheduler> readahead_;
 
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;

@@ -130,15 +130,6 @@ class Segment {
   void LoadColumn(size_t col, std::span<const uint32_t> rows,
                   ColumnVector* out) const;
 
-  /// Readahead hook: asks the kernel for the spilled file's pages
-  /// (madvise WILLNEED) and faults them in — run off the serving thread
-  /// one segment ahead of the gather cursor. No-op when resident.
-  void PrefetchSpill() const {
-    if (!file_->mapped()) return;
-    file_->AdviseWillNeed(0, file_->size());
-    file_->TouchPages(0, file_->size());
-  }
-
  private:
   struct Column {
     ColumnEncoding enc = ColumnEncoding::kNullOnly;

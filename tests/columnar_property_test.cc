@@ -113,12 +113,6 @@ TablePair MakePair(Rng& rng, const SchemaPtr& schema, const std::string& name,
   if (!spill_dir.empty() && rng.Bernoulli(0.5)) {
     columnar_options.memory_budget_bytes = 2048;
     columnar_options.spill_dir = spill_dir;
-    // Readahead must be a pure latency optimization: results stay
-    // byte-identical with prefetching racing the gather cursor.
-    if (rng.Bernoulli(0.5)) {
-      columnar_options.readahead.enabled = true;
-      columnar_options.readahead.max_in_flight = 1 + rng.Uniform(4);
-    }
   }
   if (rng.Bernoulli(0.5)) {
     columnar_options.compaction_policy = CompactionPolicy::kSizeTiered;

@@ -4,14 +4,12 @@
 // Two theaters:
 //  1. The io/ primitives raced directly: reader threads touching and
 //     promoting BlockCache payloads (verifying content through pinned
-//     pointers), prefetch threads driving a ReadaheadScheduler over the
-//     same key space, a capacity flapper (demotion storms), a spill
-//     thread churning BlockFile spill/map/advise/unmap cycles, and a
-//     failpoint thread arming io.load/io.readahead underneath everyone.
-//  2. A tiered embedding table with readahead *enabled*, hammered by the
-//     same access mix as the tier soak — every row served must still be
-//     bitwise one of the two legal values even while scheduler workers
-//     materialize blocks behind the serving threads.
+//     pointers), a capacity flapper (demotion storms), a spill thread
+//     churning BlockFile spill/map/unmap cycles, and a failpoint thread
+//     arming io.load underneath everyone.
+//  2. A tiered embedding table hammered by wide MultiGet batches and full
+//     ScanBlocks passes while its hot budget flaps — every row served
+//     must still be bitwise one of the two legal values.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,7 +27,6 @@
 #include "embedding/tier.h"
 #include "io/block_cache.h"
 #include "io/block_file.h"
-#include "io/readahead.h"
 
 namespace mlfs {
 namespace {
@@ -50,16 +47,7 @@ BlockCache::Payload MakeBlockPayload(size_t block) {
       std::static_pointer_cast<const std::vector<uint64_t>>(words));
 }
 
-bool PayloadIntact(const BlockCache::Payload& p, size_t block) {
-  const auto* words = static_cast<const std::vector<uint64_t>*>(p.get());
-  if (words->size() != kPayloadWords) return false;
-  for (size_t i = 0; i < kPayloadWords; ++i) {
-    if ((*words)[i] != block * 1000003ULL + i) return false;
-  }
-  return true;
-}
-
-TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
+TEST(IoStressTest, CacheEvictionAndSpillRace) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "mlfs_io_stress")
           .string();
@@ -67,15 +55,9 @@ TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
 
   constexpr size_t kBlocks = 32;
   constexpr int kReaders = 3;
-  constexpr int kPrefetchers = 2;
   constexpr int kOpsPerThread = 600;
 
   BlockCache cache(kBlocks, /*capacity=*/8);
-  ReadaheadOptions ra;
-  ra.enabled = true;
-  ra.threads = 2;
-  ra.max_in_flight = 6;
-  ReadaheadScheduler scheduler(ra);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> corrupt{0};
@@ -108,20 +90,6 @@ TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
       }
     });
   }
-  // Prefetchers: schedule materialization of random blocks, then consume
-  // and verify — racing dedup, drops, and the failpoint flapper.
-  for (int t = 0; t < kPrefetchers; ++t) {
-    threads.emplace_back([&, t] {
-      Rng local(20 + t);
-      for (int op = 0; op < kOpsPerThread; ++op) {
-        const size_t block = local.Uniform(kBlocks);
-        scheduler.Prefetch(block, [block] { return MakeBlockPayload(block); });
-        const size_t consume = local.Uniform(kBlocks);
-        ReadaheadScheduler::Payload p = scheduler.Consume(consume);
-        if (p != nullptr && !PayloadIntact(p, consume)) corrupt.fetch_add(1);
-      }
-    });
-  }
   // Capacity flapper: budget rebalancing (demotion storms) under load.
   threads.emplace_back([&] {
     Rng local(31);
@@ -130,7 +98,7 @@ TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
       std::this_thread::yield();
     }
   });
-  // Spill churn: seal + atomic-write + map + readahead-touch + unmap in a
+  // Spill churn: seal + atomic-write + map + verify + unmap in a
   // loop, sharing the io.load failpoint with everyone else.
   threads.emplace_back([&] {
     Rng local(41);
@@ -144,34 +112,27 @@ TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
                                    path, /*remove_file_on_destroy=*/true,
                                    "stress blob");
       if (file.ok()) {
-        (*file)->AdviseWillNeed(0, (*file)->size());
-        (*file)->TouchPages(0, (*file)->size());
         if ((*file)->body() != body) corrupt.fetch_add(1);
       }
       std::this_thread::yield();
     }
   });
-  // Failpoint flapper: io.load (spill/map path) and io.readahead
-  // (prefetch path) degrade, never corrupt.
+  // Failpoint flapper: io.load (spill/map path) degrades, never corrupts.
   threads.emplace_back([&] {
     for (int i = 0; i < 30 && !stop.load(std::memory_order_relaxed); ++i) {
       FailpointConfig config;
       config.probability = 0.3;
       {
         ScopedFailpoint load("io.load", config);
-        ScopedFailpoint prefetch("io.readahead", config);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
 
-  for (int t = 0; t < kReaders + kPrefetchers; ++t) threads[t].join();
+  for (int t = 0; t < kReaders; ++t) threads[t].join();
   stop.store(true);
-  for (size_t t = kReaders + kPrefetchers; t < threads.size(); ++t) {
-    threads[t].join();
-  }
-  scheduler.Drain();
+  for (size_t t = kReaders; t < threads.size(); ++t) threads[t].join();
   FailpointRegistry::Instance().DisarmAll();
 
   EXPECT_EQ(corrupt.load(), 0u);
@@ -183,15 +144,10 @@ TEST(IoStressTest, CacheReadaheadEvictionAndSpillRace) {
   EXPECT_GE(cs.hits + cs.misses, served.load());
   EXPECT_GE(cs.evictions + cs.resident_blocks, cs.promotions)
       << "every promoted block is either still resident or was evicted";
-
-  const ReadaheadStats rs = scheduler.stats();
-  EXPECT_EQ(rs.in_flight, 0u);
-  EXPECT_EQ(rs.issued, rs.completed);
-  EXPECT_LE(rs.hits, rs.issued);
   std::filesystem::remove_all(dir);
 }
 
-TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
+TEST(IoStressTest, TierScanAndBudgetFlapServeOnlyLegalRows) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "mlfs_io_tier_stress")
           .string();
@@ -212,7 +168,7 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
   for (size_t i = 0; i < kRows; ++i) keys.push_back("k" + std::to_string(i));
 
   EmbeddingTableMetadata metadata;
-  metadata.name = "ra_stress";
+  metadata.name = "io_tier_stress";
   auto source = EmbeddingTable::Create(metadata, keys, data, kDim).value();
 
   EmbeddingTierOptions options;
@@ -220,8 +176,6 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
   options.bits = kBits;
   options.block_rows = kBlockRows;
   options.dir = dir;
-  options.readahead.enabled = true;
-  options.readahead.threads = 2;
   auto table = EmbeddingTable::CreateTiered(*source, options).value();
 
   PackedCodes packed = PackUniform(data.data(), kRows, kDim, kBits).value();
@@ -241,8 +195,7 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
 
   std::vector<std::thread> threads;
   // Batchers: wide batches straddle hot and cold blocks, decoding cold
-  // rows on the calling thread while the scanners keep the scheduler's
-  // workers materializing blocks.
+  // rows on the calling thread while the scanners stream every block.
   for (int t = 0; t < kBatchers; ++t) {
     threads.emplace_back([&, t] {
       Rng local(50 + t);
@@ -263,7 +216,7 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
       }
     });
   }
-  // Scanners drive the next-block prefetch pipeline.
+  // Scanners: full passes that refresh hot stamps and decode cold blocks.
   for (int t = 0; t < kScanners; ++t) {
     threads.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
@@ -283,7 +236,7 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
       }
     });
   }
-  // Budget flapper: eviction races in-flight prefetch materialization.
+  // Budget flapper: eviction races the readers and scanners.
   threads.emplace_back([&] {
     Rng local(61);
     while (!stop.load(std::memory_order_relaxed)) {
@@ -291,31 +244,16 @@ TEST(IoStressTest, TierWithReadaheadServesOnlyLegalRows) {
       std::this_thread::yield();
     }
   });
-  // io.readahead flaps: prefetch degrades to demand loading mid-batch.
-  threads.emplace_back([&] {
-    for (int i = 0; i < 30 && !stop.load(std::memory_order_relaxed); ++i) {
-      FailpointConfig config;
-      config.probability = 0.4;
-      {
-        ScopedFailpoint fp("io.readahead", config);
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
 
   for (int t = 0; t < kBatchers; ++t) threads[t].join();
   stop.store(true);
   for (size_t t = kBatchers; t < threads.size(); ++t) threads[t].join();
-  FailpointRegistry::Instance().DisarmAll();
 
   EXPECT_EQ(illegal.load(), 0u)
       << "a row was served that is neither exact nor dequantized";
   EXPECT_GT(served.load(), 0u);
 
   const EmbeddingTierStats stats = table->tier()->stats();
-  EXPECT_EQ(stats.readahead.in_flight, 0u);
-  EXPECT_EQ(stats.readahead.issued, stats.readahead.completed);
   EXPECT_GE(stats.hot_hits + stats.cold_misses, served.load());
   std::filesystem::remove_all(dir);
 }

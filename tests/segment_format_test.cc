@@ -326,7 +326,7 @@ TEST_F(SegmentFaultTest, CorruptSnapshotSegmentRejected) {
   EXPECT_FALSE(restored.ok());
 }
 
-// --- Compaction policy + spilled-segment readahead ----------------------
+// --- Compaction policy + spilled-segment reads -------------------------
 
 // Size-tiered maintenance merges only the run of similarly-sized segments
 // (the big segment is left alone), while explicit CompactPartitions()
@@ -393,15 +393,14 @@ TEST(CompactionPolicyTest, SizeTieredFallsBackToSmallestAdjacentPair) {
   EXPECT_EQ(RowsBytes(table->Scan()), before);
 }
 
-// AsOfBatch over spilled segments issues prefetches for the segments the
-// gather cursor will reach next; every prefetch completes before the call
-// returns and the answers match the unprefetched AsOf path.
-TEST(SpilledReadaheadTest, AsOfBatchPrefetchesSpilledSegments) {
+// AsOfBatch gathering across several spilled segments answers exactly
+// what the per-key AsOf path answers, byte for byte.
+TEST(SpilledReadTest, AsOfBatchMatchesAsOfAcrossSpilledSegments) {
   const std::string spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "mlfs_ra_spill")
+      (std::filesystem::path(::testing::TempDir()) / "mlfs_spilled_read")
           .string();
   OfflineTableOptions options;
-  options.name = "readahead";
+  options.name = "spilled_read";
   options.schema = AllEncodingsSchema();
   options.entity_column = "key";
   options.time_column = "event_time";
@@ -409,13 +408,11 @@ TEST(SpilledReadaheadTest, AsOfBatchPrefetchesSpilledSegments) {
   options.compact_min_segments = 100;  // Keep the segments distinct.
   options.memory_budget_bytes = 1;     // Spill everything.
   options.spill_dir = spill_dir;
-  options.readahead.enabled = true;
-  options.readahead.max_in_flight = 2;
   auto table = OfflineTable::Create(options).value();
   const SchemaPtr& schema = table->options().schema;
 
   // Three segments with disjoint key prefixes, so a key-sorted request
-  // batch walks them one after another — the readahead pipeline shape.
+  // batch walks them one after another.
   for (const char* prefix : {"a_", "b_", "c_"}) {
     std::vector<Row> rows;
     for (const Row& row : AllEncodingsRows(schema, 16)) {
@@ -447,12 +444,6 @@ TEST(SpilledReadaheadTest, AsOfBatchPrefetchesSpilledSegments) {
     ASSERT_NE(results[i].schema(), nullptr) << keys[i];
     EXPECT_EQ(RowsBytes({results[i]}), RowsBytes({*want})) << keys[i];
   }
-
-  const ReadaheadStats ra = table->storage_stats().readahead;
-  EXPECT_GE(ra.issued, 1u);
-  EXPECT_EQ(ra.issued, ra.completed);  // All consumed before returning.
-  EXPECT_GE(ra.hits, 1u);
-  EXPECT_EQ(ra.in_flight, 0u);
 
   table.reset();
   std::error_code ec;

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <string>
@@ -687,7 +686,7 @@ TEST_F(DictPredicateTest, AllNullStringColumnScansClean) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Time-range pruning and readahead depth.
+// 4. Time-range pruning.
 // ---------------------------------------------------------------------------
 
 class TimePruneTest : public ::testing::Test {
@@ -796,46 +795,6 @@ TEST_F(TimePruneTest, ScanSkipsNonOverlappingSegmentsAndCountsThem) {
   ASSERT_TRUE(pushed.ok());
   EXPECT_GT(t->storage_stats().scan_segments_skipped, before2);
   EXPECT_EQ(pushed->size(), want.size());
-}
-
-TEST_F(TimePruneTest, ReadaheadDepthIsByteIdenticalAcrossDepths) {
-  const std::string spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / "mlfs_ra_depth")
-          .string();
-  std::filesystem::remove_all(spill_dir);
-  OfflineTableOptions opt;
-  opt.spill_dir = spill_dir;
-  opt.memory_budget_bytes = 1;  // Spill everything sealed.
-  opt.readahead.enabled = true;
-  OfflineStore store;
-  Rng rng(0x4ead);
-  OfflineTable* t = MakeTable(store, "t", opt, rng, 2000);
-  ASSERT_TRUE(t->EnforceMemoryBudget().ok());
-  ASSERT_GE(t->storage_stats().spilled_segments, 2u);
-
-  const auto reqs = MakeRequests(rng, 200);
-  std::vector<AsOfRequest> requests;
-  for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
-
-  std::vector<std::vector<Row>> results;
-  for (size_t depth : {size_t{1}, size_t{3}, size_t{8}}) {
-    std::vector<Row> rows(requests.size());
-    AsOfReadOptions options;
-    options.readahead_depth = depth;
-    ASSERT_TRUE(t->AsOfBatch(requests, rows, options).ok()) << depth;
-    results.push_back(std::move(rows));
-  }
-  for (size_t d = 1; d < results.size(); ++d) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const bool hit0 = results[0][i].schema() != nullptr;
-      const bool hitd = results[d][i].schema() != nullptr;
-      ASSERT_EQ(hit0, hitd) << "depth variant " << d << " request " << i;
-      if (hit0) {
-        EXPECT_EQ(results[0][i], results[d][i]);
-      }
-    }
-  }
-  std::filesystem::remove_all(spill_dir);
 }
 
 }  // namespace

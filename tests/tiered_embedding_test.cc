@@ -51,18 +51,12 @@ class TieredEmbeddingTest : public ::testing::Test {
   }
 
   EmbeddingTierOptions TierOptions(size_t budget_bytes, int bits = 8,
-                                   size_t block_rows = 64,
-                                   bool readahead = false) {
+                                   size_t block_rows = 64) {
     EmbeddingTierOptions options;
     options.memory_budget_bytes = budget_bytes;
     options.bits = bits;
     options.block_rows = block_rows;
     options.dir = dir_;
-    if (readahead) {
-      options.readahead.enabled = true;
-      options.readahead.threads = 2;
-      options.readahead.max_in_flight = 4;
-    }
     return options;
   }
 
@@ -599,12 +593,9 @@ TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
   const size_t n = 500, dim = 12, block_rows = 64;
   auto source = ResidentTable("emb", n, dim);
   const size_t budget = 3 * block_rows * dim * sizeof(float);  // 3/8 hot.
-  // Readahead must be invisible to results: identical output whether cold
-  // blocks are prefetched asynchronously or dequantized inline.
-  for (bool readahead : {false, true}) {
-  auto tiered = EmbeddingTable::CreateTiered(
-                    *source, TierOptions(budget, 8, block_rows, readahead))
-                    .value();
+  auto tiered =
+      EmbeddingTable::CreateTiered(*source, TierOptions(budget, 8, block_rows))
+          .value();
   // The reference: a resident brute-force index over the *served* values.
   auto served = tiered->Materialize().value();
   auto queries = GaussianData(40, dim, 99);
@@ -636,13 +627,6 @@ TEST_F(TieredEmbeddingTest, TieredBruteMatchesResidentBruteBitwise) {
     }
     // Searching must not have grown the hot set (scan resistance).
     EXPECT_EQ(tiered->tier()->stats().hot_blocks, 3u);
-  }
-  if (readahead) {
-    const ReadaheadStats ra = tiered->tier()->stats().readahead;
-    EXPECT_GE(ra.issued, 1u);
-    EXPECT_EQ(ra.issued, ra.completed);
-    EXPECT_EQ(ra.in_flight, 0u);
-  }
   }
 }
 
@@ -687,10 +671,6 @@ TEST_F(TieredEmbeddingTest, FeatureStoreDifferentialAllHotVsHalfCold) {
   half_cold.embedding_tiering.bits = 16;
   half_cold.embedding_tiering.block_rows = 16;
   half_cold.embedding_tiering.spill_dir = dir_;
-  // Cold blocks are prefetched asynchronously; served values must not
-  // change (every assertion below compares against the resident store).
-  half_cold.embedding_tiering.readahead.enabled = true;
-  half_cold.embedding_tiering.readahead.threads = 2;
   FeatureStore tiered_store(half_cold);
   ASSERT_TRUE(tiered_store.RegisterEmbedding(table).ok());
   ASSERT_TRUE(
@@ -748,14 +728,11 @@ TEST_F(TieredEmbeddingTest, FeatureStoreDifferentialAllHotVsHalfCold) {
   auto expect0 = tiered_store.GetEmbedding("emb", table->key(0)).value();
   EXPECT_EQ(v0, expect0);
 
-  // The serving layer surfaces the tier + readahead I/O counters: an
-  // operator reading server stats sees the cold path behind requests.
+  // The serving layer surfaces the tier I/O counters: an operator
+  // reading server stats sees the cold path behind requests.
   FeatureServerStats server_stats = tiered_store.server().stats();
   EXPECT_EQ(server_stats.embedding_tiers.tiered_tables, 1u);
   EXPECT_GE(server_stats.embedding_tiers.tier.scans, stats.tier.scans);
-  const ReadaheadStats& ra = server_stats.embedding_tiers.tier.readahead;
-  EXPECT_EQ(ra.in_flight, 0u);
-  EXPECT_EQ(ra.issued, ra.completed + ra.in_flight);
 }
 
 TEST_F(TieredEmbeddingTest, CheckpointRestoreServesByteIdentical) {
