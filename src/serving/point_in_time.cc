@@ -13,16 +13,14 @@ namespace {
 
 struct ResolvedSource {
   const OfflineTable* table;
-  std::vector<int> column_indices;  // Into the source schema.
-  int time_idx;                     // Into the source schema.
   Timestamp max_age;
-  // Projected read plan for the merge engine: the unique source columns
-  // actually gathered (output columns plus, under max_age, the event-time
-  // column), the schema those projected rows conform to, and the remaps
-  // from output column / time column into the projected row.
+  // Projected read plan: the unique source columns actually gathered
+  // (output columns plus, under max_age, the event-time column), the schema
+  // that projection conforms to, and the remaps from output column / time
+  // column into a gathered cell group.
   std::vector<int> proj;
   SchemaPtr proj_schema;
-  std::vector<int> out_pos;  // Parallel to column_indices.
+  std::vector<int> out_pos;  // One per output column.
   int time_pos = -1;
 };
 
@@ -41,7 +39,6 @@ StatusOr<std::pair<SchemaPtr, std::vector<ResolvedSource>>> PrepareJoin(
     const SchemaPtr& schema = options.schema;
     ResolvedSource rs;
     rs.table = source.table;
-    rs.time_idx = schema->FieldIndex(options.time_column);
     rs.max_age = source.max_age;
     std::vector<std::string> columns = source.columns;
     if (columns.empty()) {
@@ -71,7 +68,6 @@ StatusOr<std::pair<SchemaPtr, std::vector<ResolvedSource>>> PrepareJoin(
         return Status::InvalidArgument("source '" + options.name +
                                        "' has no column '" + column + "'");
       }
-      rs.column_indices.push_back(idx);
       rs.out_pos.push_back(proj_position(idx));
       std::string out_name = source.output_columns.empty()
                                  ? source.prefix + column
@@ -84,7 +80,7 @@ StatusOr<std::pair<SchemaPtr, std::vector<ResolvedSource>>> PrepareJoin(
     // along in the projection; an empty projection still gathers it so the
     // batch read has a concrete column list.
     if (rs.max_age > 0 || rs.proj.empty()) {
-      rs.time_pos = proj_position(rs.time_idx);
+      rs.time_pos = proj_position(schema->FieldIndex(options.time_column));
     }
     std::vector<FieldSpec> proj_fields;
     proj_fields.reserve(rs.proj.size());
@@ -96,74 +92,6 @@ StatusOr<std::pair<SchemaPtr, std::vector<ResolvedSource>>> PrepareJoin(
   MLFS_ASSIGN_OR_RETURN(SchemaPtr out_schema,
                         Schema::Create(std::move(out_fields)));
   return std::make_pair(std::move(out_schema), std::move(resolved));
-}
-
-// Row-at-a-time oracle: one locked AsOf per spine row per source. Kept as
-// the reference the merge-join engine must reproduce byte-for-byte.
-StatusOr<TrainingSet> ReferenceJoinImpl(const std::vector<Row>& spine,
-                                        const std::string& spine_entity_column,
-                                        const std::string& spine_time_column,
-                                        const std::vector<JoinSource>& sources,
-                                        bool point_in_time) {
-  if (spine.empty()) {
-    return Status::InvalidArgument("spine is empty");
-  }
-  if (spine.front().schema() == nullptr) {
-    return Status::InvalidArgument("spine rows have no schema");
-  }
-  {
-    int eidx = spine.front().schema()->FieldIndex(spine_entity_column);
-    int tidx = spine.front().schema()->FieldIndex(spine_time_column);
-    if (eidx < 0 || tidx < 0) {
-      return Status::InvalidArgument("spine is missing entity/time column");
-    }
-    if (spine.front().schema()->field(tidx).type != FeatureType::kTimestamp) {
-      return Status::InvalidArgument("spine time column is not a TIMESTAMP");
-    }
-  }
-  MLFS_ASSIGN_OR_RETURN(auto prepared,
-                        PrepareJoin(spine.front().schema(), sources));
-  SchemaPtr out_schema = std::move(prepared.first);
-  std::vector<ResolvedSource> resolved = std::move(prepared.second);
-  const SchemaPtr& spine_schema = spine.front().schema();
-  int spine_entity_idx = spine_schema->FieldIndex(spine_entity_column);
-  int spine_time_idx = spine_schema->FieldIndex(spine_time_column);
-
-  TrainingSet out;
-  out.schema = out_schema;
-  out.rows.reserve(spine.size());
-  for (const Row& spine_row : spine) {
-    if (spine_row.schema() == nullptr ||
-        !(*spine_row.schema() == *spine_schema)) {
-      return Status::InvalidArgument("spine rows have mixed schemas");
-    }
-    const Value& entity = spine_row.value(spine_entity_idx);
-    Timestamp t = spine_row.value(spine_time_idx).time_value();
-
-    std::vector<Value> values = spine_row.values();
-    for (const ResolvedSource& rs : resolved) {
-      StatusOr<Row> source_row =
-          rs.table->AsOf(entity, point_in_time ? t : kMaxTimestamp);
-      bool usable = source_row.ok();
-      if (usable && point_in_time && rs.max_age > 0) {
-        Timestamp event_time =
-            source_row->value(rs.time_idx).time_value();
-        usable = event_time >= t - rs.max_age;
-      }
-      for (int idx : rs.column_indices) {
-        if (usable) {
-          values.push_back(source_row->value(idx));
-        } else {
-          values.push_back(Value::Null());
-          ++out.missing_cells;
-        }
-      }
-    }
-    MLFS_ASSIGN_OR_RETURN(Row row,
-                          Row::Create(out_schema, std::move(values)));
-    out.rows.push_back(std::move(row));
-  }
-  return out;
 }
 
 // First (up to) 8 key bytes packed big-endian, so a single integer compare
@@ -178,13 +106,28 @@ uint64_t KeyPrefix(const std::string& key) {
   return p;
 }
 
+// ORs a shard's miss bitmap (bit j = request start + j) into `dst`, a
+// word at a time. Bits past the shard's end are zero in `src`.
+void StitchMissBits(const std::vector<uint64_t>& src, size_t start,
+                    std::vector<uint64_t>& dst) {
+  const size_t shift = start & 63;
+  for (size_t w = 0; w < src.size(); ++w) {
+    const uint64_t bits = src[w];
+    if (bits == 0) continue;
+    const size_t word = (start >> 6) + w;
+    dst[word] |= bits << shift;
+    if (shift != 0 && word + 1 < dst.size()) {
+      dst[word + 1] |= bits >> (64 - shift);
+    }
+  }
+}
+
 // Batched sort-merge as-of join (see point_in_time.h). Produces output
-// identical to ReferenceJoinImpl; the pit_merge and columnar property
-// suites pin it.
+// identical to the row-at-a-time reference join; the pit_merge and
+// columnar property suites pin it.
 StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
                                     const std::vector<JoinSource>& sources,
-                                    bool point_in_time,
-                                    const JoinOptions& options) {
+                                    bool point_in_time, ThreadPool* pool) {
   MLFS_ASSIGN_OR_RETURN(auto prepared,
                         PrepareJoin(spine_index.schema(), sources));
   SchemaPtr out_schema = std::move(prepared.first);
@@ -197,24 +140,27 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   constexpr uint32_t kNoRequest = SpineIndex::kNoRequest;
   const size_t n = spine.size();
   const size_t m = sorted.size();
+  const size_t num_sources = resolved.size();
 
   // 1. Lay out the batch requests in the index's (key, ts) order. The
   //    naive join asks for each entity's globally latest row, so every
-  //    request degenerates to ts = +inf (still sorted).
+  //    request degenerates to ts = +inf (still sorted). All requests of a
+  //    key run view the run's first key bytes: the spine rows' own copies
+  //    sit at random addresses in sorted order, and every source's gather
+  //    compares each request's key with its neighbour's.
   std::vector<AsOfRequest> requests(m);
   for (size_t p = 0; p < m; ++p) {
-    requests[p] = {keys[sorted[p]],
-                   point_in_time ? times[sorted[p]] : kMaxTimestamp};
+    const std::string& key = keys[sorted[p]];
+    requests[p] = {key, point_in_time ? times[sorted[p]] : kMaxTimestamp};
+    if (p > 0 && requests[p - 1].key == key) {
+      requests[p].key = requests[p - 1].key;
+    }
   }
 
   // 2. Fan out: sources × entity-range shards of the sorted request array
-  //    (shards cut at key boundaries so no entity's run is split).
-  std::unique_ptr<ThreadPool> local_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && options.max_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(options.max_threads);
-    pool = local_pool.get();
-  }
+  //    (shards cut at key boundaries so no entity's run is split). Each
+  //    task gathers its shard's matched cells into its slice of the
+  //    source's flat, request-major column: no Row is built per hit.
   std::vector<std::pair<size_t, size_t>> shards;
   {
     const size_t want = pool != nullptr ? pool->num_threads() * 2 : 1;
@@ -227,9 +173,13 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
       start = stop;
     }
   }
-  std::vector<std::vector<Row>> source_rows(resolved.size());
-  for (auto& rows : source_rows) rows.resize(m);
-  const size_t num_tasks = resolved.size() * shards.size();
+  // cols[s][p * width + c]: cell c of source s's gathered projection for
+  // request p.
+  std::vector<std::vector<Value>> cols(num_sources);
+  for (size_t s = 0; s < num_sources; ++s) {
+    cols[s].resize(m * resolved[s].proj.size());
+  }
+  const size_t num_tasks = num_sources * shards.size();
   std::vector<Status> task_status(num_tasks);
   // Each task fills a private miss bitmap for its shard (bitmap words at
   // shard boundaries would be shared between tasks otherwise); the shard
@@ -238,71 +188,45 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   ParallelFor(pool, 0, num_tasks, [&](size_t task) {
     const size_t s = task / shards.size();
     const auto [start, stop] = shards[task % shards.size()];
+    const size_t width = resolved[s].proj.size();
     AsOfReadOptions read_options;
     read_options.columns = resolved[s].proj;
     read_options.projected_schema = resolved[s].proj_schema;
     read_options.miss_bitmap = &task_miss[task];
-    task_status[task] = resolved[s].table->AsOfBatch(
+    task_status[task] = resolved[s].table->AsOfGather(
         std::span<const AsOfRequest>(requests.data() + start, stop - start),
-        std::span<Row>(source_rows[s].data() + start, stop - start),
-        read_options);
+        read_options,
+        std::span<Value>(cols[s].data() + start * width,
+                         (stop - start) * width));
   });
   for (Status& s : task_status) {
     MLFS_RETURN_IF_ERROR(std::move(s));
   }
   std::vector<std::vector<uint64_t>> source_miss(
-      resolved.size(), std::vector<uint64_t>((m + 63) / 64, 0));
+      num_sources, std::vector<uint64_t>((m + 63) / 64, 0));
   for (size_t task = 0; task < num_tasks; ++task) {
-    const size_t s = task / shards.size();
-    const auto [start, stop] = shards[task % shards.size()];
-    for (size_t i = start; i < stop; ++i) {
-      if (MissBitmapTest(task_miss[task], i - start)) {
-        source_miss[s][i >> 6] |= uint64_t{1} << (i & 63);
-      }
-    }
+    StitchMissBits(task_miss[task], shards[task % shards.size()].first,
+                   source_miss[task / shards.size()]);
   }
 
   // 3. Assemble output rows in spine order: reserve the full output width
-  //    once per row instead of copy-and-growing from the spine values.
+  //    once per row, then copy the spine cells and each source's cells.
+  //    (Cells are copied, not moved: a source may list one column twice.)
   TrainingSet out;
   out.schema = out_schema;
   out.rows.assign(n, Row());
   const size_t out_width = out_schema->num_fields();
   std::atomic<uint64_t> missing{0};
-  const size_t num_sources = resolved.size();
   const auto assemble = [&](size_t r) {
-    // The source rows for spine row r sit at a position that is random
-    // with respect to r (the batch answered them in sorted key order), so
-    // reading them chases three dependent allocations per row — the Row
-    // object, its shared buffer header, and the buffer's element storage.
-    // A three-stage prefetch pipeline overlaps the misses: objects three
-    // stages ahead, headers two ahead, element data one ahead.
+    // A spine row's cells sit at a slot that is random with respect to r
+    // (the gather answered requests in sorted key order); prefetching the
+    // slots a few rows ahead overlaps those cache misses.
     constexpr size_t kFetch = 8;
-    if (r + 3 * kFetch < n) {
-      const uint32_t p3 = pos_of_row[r + 3 * kFetch];
-      if (p3 != kNoRequest) {
-        for (size_t s = 0; s < num_sources; ++s) {
-          __builtin_prefetch(&source_rows[s][p3]);
-        }
-      }
-    }
-    if (r + 2 * kFetch < n) {
-      const uint32_t p2 = pos_of_row[r + 2 * kFetch];
-      if (p2 != kNoRequest) {
-        for (size_t s = 0; s < num_sources; ++s) {
-          __builtin_prefetch(source_rows[s][p2].payload_address());
-        }
-      }
-    }
     if (r + kFetch < n) {
-      const uint32_t p1 = pos_of_row[r + kFetch];
-      if (p1 != kNoRequest) {
+      const uint32_t ahead = pos_of_row[r + kFetch];
+      if (ahead != kNoRequest) {
         for (size_t s = 0; s < num_sources; ++s) {
-          const Row& ahead = source_rows[s][p1];
-          if (ahead.schema() != nullptr && !resolved[s].out_pos.empty()) {
-            __builtin_prefetch(ahead.values().data() +
-                               resolved[s].out_pos.front());
-          }
+          __builtin_prefetch(cols[s].data() + ahead * resolved[s].proj.size());
         }
       }
     }
@@ -312,19 +236,20 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
     values.insert(values.end(), spine_values.begin(), spine_values.end());
     uint64_t row_missing = 0;
     const uint32_t pos = pos_of_row[r];
-    for (size_t s = 0; s < resolved.size(); ++s) {
+    for (size_t s = 0; s < num_sources; ++s) {
       const ResolvedSource& rs = resolved[s];
-      // A miss never materialized a result row — the batch read reported
-      // it through the bitmap instead, and the null-fill happens here.
+      // A miss never wrote its cells — the gather reported it through the
+      // bitmap instead, and the null-fill happens here.
       bool usable =
           pos != kNoRequest && !MissBitmapTest(source_miss[s], pos);
-      const Row* src = usable ? &source_rows[s][pos] : nullptr;
+      const Value* cells =
+          usable ? cols[s].data() + size_t{pos} * rs.proj.size() : nullptr;
       if (usable && point_in_time && rs.max_age > 0) {
-        Timestamp event_time = src->value(rs.time_pos).time_value();
+        Timestamp event_time = cells[rs.time_pos].time_value();
         usable = event_time >= times[r] - rs.max_age;
       }
       if (usable) {
-        for (int p : rs.out_pos) values.push_back(src->value(p));
+        for (int p : rs.out_pos) values.push_back(cells[p]);
       } else {
         values.insert(values.end(), rs.out_pos.size(), Value::Null());
         row_missing += rs.out_pos.size();
@@ -347,11 +272,38 @@ StatusOr<TrainingSet> MergeJoinImpl(const SpineIndex& spine_index,
   return out;
 }
 
+// A non-owning pointer to the caller's spine rows, for an index that lives
+// only as long as one join call.
+std::shared_ptr<const std::vector<Row>> BorrowRows(
+    const std::vector<Row>& spine) {
+  return std::shared_ptr<const std::vector<Row>>(std::shared_ptr<void>(),
+                                                 &spine);
+}
+
+// The pool a join runs on: the caller's, or an internal one of
+// max_threads workers held in `local`, or none (serial).
+ThreadPool* JoinPool(const JoinOptions& options,
+                     std::unique_ptr<ThreadPool>* local) {
+  if (options.pool != nullptr) return options.pool;
+  if (options.max_threads <= 1) return nullptr;
+  *local = std::make_unique<ThreadPool>(options.max_threads);
+  return local->get();
+}
+
 }  // namespace
 
 StatusOr<SpineIndex> SpineIndex::Build(std::vector<Row> spine,
                                        const std::string& entity_column,
                                        const std::string& time_column) {
+  return Index(std::make_shared<const std::vector<Row>>(std::move(spine)),
+               entity_column, time_column, /*pool=*/nullptr);
+}
+
+StatusOr<SpineIndex> SpineIndex::Index(
+    std::shared_ptr<const std::vector<Row>> rows,
+    const std::string& entity_column, const std::string& time_column,
+    ThreadPool* pool) {
+  const std::vector<Row>& spine = *rows;
   if (spine.empty()) {
     return Status::InvalidArgument("spine is empty");
   }
@@ -368,8 +320,8 @@ StatusOr<SpineIndex> SpineIndex::Build(std::vector<Row> spine,
   if (index.schema_->field(index.time_idx_).type != FeatureType::kTimestamp) {
     return Status::InvalidArgument("spine time column is not a TIMESTAMP");
   }
-  index.rows_ = std::move(spine);
-  const size_t n = index.rows_.size();
+  index.rows_ = std::move(rows);
+  const size_t n = spine.size();
   index.keys_.resize(n);
   index.times_.assign(n, 0);
   index.pos_of_row_.assign(n, kNoRequest);
@@ -377,42 +329,85 @@ StatusOr<SpineIndex> SpineIndex::Build(std::vector<Row> spine,
   // Canonicalize every entity key exactly once. A key that is not
   // INT64/STRING is not an error (the row-at-a-time reference treats the
   // per-row AsOf failure as a miss): the row simply misses every source.
-  // Value-packed sort entries: the key prefix and timestamp travel with
-  // the index so most comparisons stay inside the 24-byte struct instead
-  // of chasing side arrays per compare.
+  // Value-packed sort entries: the key prefix, key length and timestamp
+  // travel with the index, so most comparisons stay inside the 24-byte
+  // struct instead of chasing side arrays per compare.
   struct SortEntry {
     uint64_t prefix;
     Timestamp ts;
     uint32_t row;
+    uint32_t len;  // Key length, saturated at UINT32_MAX.
   };
-  std::vector<SortEntry> ents;
-  ents.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Row& spine_row = index.rows_[i];
-    if (spine_row.schema() == nullptr ||
-        !(*spine_row.schema() == *index.schema_)) {
-      return Status::InvalidArgument("spine rows have mixed schemas");
-    }
-    index.times_[i] = spine_row.value(index.time_idx_).time_value();
-    StatusOr<std::string> key =
-        EntityKeyToString(spine_row.value(index.entity_idx_));
-    if (!key.ok()) continue;
-    index.keys_[i] = std::move(*key);
-    ents.push_back({KeyPrefix(index.keys_[i]), index.times_[i],
-                    static_cast<uint32_t>(i)});
-  }
-
+  static_assert(sizeof(SortEntry) == 24);
   // Sort by (key, ts). The key order itself is irrelevant — the batch
   // contract only needs equal keys contiguous with ascending timestamps —
-  // so the integer prefix carries almost every comparison; only prefix
-  // ties fall back to the full byte-wise key compare.
-  std::sort(ents.begin(), ents.end(),
-            [&index](const SortEntry& a, const SortEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              const int c = index.keys_[a.row].compare(index.keys_[b.row]);
-              if (c != 0) return c < 0;
-              return a.ts < b.ts;
-            });
+  // so the integer prefix carries almost every comparison. On a prefix tie
+  // where either key has at most 8 bytes, the shorter key is a prefix of
+  // the longer (the prefix holds all of its bytes, zero-padded), so the
+  // lengths settle the order and equal lengths mean equal keys. Only two
+  // longer keys fall back to the full byte-wise compare.
+  const std::vector<std::string>& keys = index.keys_;
+  const auto less = [&keys](const SortEntry& a, const SortEntry& b) {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    if (a.len <= 8 || b.len <= 8) {
+      if (a.len != b.len) return a.len < b.len;
+    } else if (const int c = keys[a.row].compare(keys[b.row]); c != 0) {
+      return c < 0;
+    }
+    return a.ts < b.ts;
+  };
+  // Each worker canonicalizes and sorts one contiguous range of the spine;
+  // the sorted runs are then merged pairwise.
+  const size_t num_runs =
+      pool != nullptr ? std::min(n, pool->num_threads()) : 1;
+  std::vector<std::vector<SortEntry>> runs(num_runs);
+  std::vector<Status> run_status(num_runs);
+  const Schema* const schema = index.schema_.get();
+  ParallelFor(pool, 0, num_runs, [&](size_t run) {
+    const size_t begin = n * run / num_runs;
+    const size_t end = n * (run + 1) / num_runs;
+    std::vector<SortEntry>& ents = runs[run];
+    ents.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      const Row& spine_row = spine[i];
+      // Rows built from one SchemaPtr (the common case) skip the field-by-
+      // field compare; an equal schema created separately still passes.
+      if (spine_row.schema().get() != schema &&
+          (spine_row.schema() == nullptr ||
+           !(*spine_row.schema() == *schema))) {
+        run_status[run] =
+            Status::InvalidArgument("spine rows have mixed schemas");
+        return;
+      }
+      index.times_[i] = spine_row.value(index.time_idx_).time_value();
+      StatusOr<std::string> key =
+          EntityKeyToString(spine_row.value(index.entity_idx_));
+      if (!key.ok()) continue;
+      index.keys_[i] = std::move(*key);
+      const size_t len = index.keys_[i].size();
+      ents.push_back(
+          {KeyPrefix(index.keys_[i]), index.times_[i],
+           static_cast<uint32_t>(i),
+           static_cast<uint32_t>(std::min<size_t>(len, UINT32_MAX))});
+    }
+    std::sort(ents.begin(), ents.end(), less);
+  });
+  for (Status& s : run_status) {
+    MLFS_RETURN_IF_ERROR(std::move(s));
+  }
+  while (runs.size() > 1) {
+    std::vector<std::vector<SortEntry>> merged(runs.size() / 2);
+    ParallelFor(pool, 0, merged.size(), [&](size_t k) {
+      const std::vector<SortEntry>& a = runs[2 * k];
+      const std::vector<SortEntry>& b = runs[2 * k + 1];
+      merged[k].resize(a.size() + b.size());
+      std::merge(a.begin(), a.end(), b.begin(), b.end(), merged[k].begin(),
+                 less);
+    });
+    if (runs.size() % 2 != 0) merged.push_back(std::move(runs.back()));
+    runs = std::move(merged);
+  }
+  const std::vector<SortEntry>& ents = runs.front();
   index.sorted_.resize(ents.size());
   for (size_t p = 0; p < ents.size(); ++p) {
     index.sorted_[p] = ents[p].row;
@@ -426,16 +421,21 @@ StatusOr<TrainingSet> PointInTimeJoin(const std::vector<Row>& spine,
                                       const std::string& spine_time_column,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options) {
-  MLFS_ASSIGN_OR_RETURN(
-      SpineIndex index,
-      SpineIndex::Build(spine, spine_entity_column, spine_time_column));
-  return MergeJoinImpl(index, sources, /*point_in_time=*/true, options);
+  std::unique_ptr<ThreadPool> local_pool;
+  ThreadPool* pool = JoinPool(options, &local_pool);
+  MLFS_ASSIGN_OR_RETURN(SpineIndex index,
+                        SpineIndex::Index(BorrowRows(spine),
+                                          spine_entity_column,
+                                          spine_time_column, pool));
+  return MergeJoinImpl(index, sources, /*point_in_time=*/true, pool);
 }
 
 StatusOr<TrainingSet> PointInTimeJoin(const SpineIndex& spine,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options) {
-  return MergeJoinImpl(spine, sources, /*point_in_time=*/true, options);
+  std::unique_ptr<ThreadPool> local_pool;
+  return MergeJoinImpl(spine, sources, /*point_in_time=*/true,
+                       JoinPool(options, &local_pool));
 }
 
 StatusOr<TrainingSet> NaiveLatestJoin(const std::vector<Row>& spine,
@@ -443,32 +443,21 @@ StatusOr<TrainingSet> NaiveLatestJoin(const std::vector<Row>& spine,
                                       const std::string& spine_time_column,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options) {
-  MLFS_ASSIGN_OR_RETURN(
-      SpineIndex index,
-      SpineIndex::Build(spine, spine_entity_column, spine_time_column));
-  return MergeJoinImpl(index, sources, /*point_in_time=*/false, options);
+  std::unique_ptr<ThreadPool> local_pool;
+  ThreadPool* pool = JoinPool(options, &local_pool);
+  MLFS_ASSIGN_OR_RETURN(SpineIndex index,
+                        SpineIndex::Index(BorrowRows(spine),
+                                          spine_entity_column,
+                                          spine_time_column, pool));
+  return MergeJoinImpl(index, sources, /*point_in_time=*/false, pool);
 }
 
 StatusOr<TrainingSet> NaiveLatestJoin(const SpineIndex& spine,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options) {
-  return MergeJoinImpl(spine, sources, /*point_in_time=*/false, options);
-}
-
-StatusOr<TrainingSet> PointInTimeJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources) {
-  return ReferenceJoinImpl(spine, spine_entity_column, spine_time_column,
-                           sources, /*point_in_time=*/true);
-}
-
-StatusOr<TrainingSet> NaiveLatestJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources) {
-  return ReferenceJoinImpl(spine, spine_entity_column, spine_time_column,
-                           sources, /*point_in_time=*/false);
+  std::unique_ptr<ThreadPool> local_pool;
+  return MergeJoinImpl(spine, sources, /*point_in_time=*/false,
+                       JoinPool(options, &local_pool));
 }
 
 StatusOr<uint64_t> CountDivergentCells(const TrainingSet& reference,

@@ -1,6 +1,7 @@
 #ifndef MLFS_SERVING_POINT_IN_TIME_H_
 #define MLFS_SERVING_POINT_IN_TIME_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ struct JoinOptions {
 /// repeated PointInTimeJoin/NaiveLatestJoin/BuildTrainingSet calls skips
 /// the canonicalize+sort step on every call after the first. The spine
 /// rows are held by copy (cheap copy-on-write reference bumps), so the
-/// index stays valid independent of the caller's vector.
+/// index stays valid independent of the caller's vector; copies of an
+/// index share those rows.
 class SpineIndex {
  public:
   /// Marker in pos_of_row() for spine rows that issue no batch request
@@ -70,7 +72,7 @@ class SpineIndex {
                                     const std::string& entity_column,
                                     const std::string& time_column);
 
-  const std::vector<Row>& rows() const { return rows_; }
+  const std::vector<Row>& rows() const { return *rows_; }
   const SchemaPtr& schema() const { return schema_; }
   int entity_idx() const { return entity_idx_; }
   int time_idx() const { return time_idx_; }
@@ -86,9 +88,28 @@ class SpineIndex {
   const std::vector<uint32_t>& pos_of_row() const { return pos_of_row_; }
 
  private:
+  // The by-rows joins index the caller's spine in place, without a copy.
+  friend StatusOr<TrainingSet> PointInTimeJoin(
+      const std::vector<Row>& spine, const std::string& spine_entity_column,
+      const std::string& spine_time_column,
+      const std::vector<JoinSource>& sources, const JoinOptions& options);
+  friend StatusOr<TrainingSet> NaiveLatestJoin(
+      const std::vector<Row>& spine, const std::string& spine_entity_column,
+      const std::string& spine_time_column,
+      const std::vector<JoinSource>& sources, const JoinOptions& options);
+
   SpineIndex() = default;
 
-  std::vector<Row> rows_;
+  /// Builds the index over `rows`, which it shares rather than copies. A
+  /// pointer that does not own its rows (the by-rows joins pass one)
+  /// yields an index valid only while those rows are. With a `pool`, the
+  /// canonicalize and sort steps split across its workers.
+  static StatusOr<SpineIndex> Index(
+      std::shared_ptr<const std::vector<Row>> rows,
+      const std::string& entity_column, const std::string& time_column,
+      ThreadPool* pool);
+
+  std::shared_ptr<const std::vector<Row>> rows_;
   SchemaPtr schema_;
   int entity_idx_ = -1;
   int time_idx_ = -1;
@@ -112,11 +133,14 @@ class SpineIndex {
 ///
 /// Executes as a batched sort-merge as-of join: spine entity keys are
 /// canonicalized once, an index permutation of the spine is sorted by
-/// (key, ts), and each source is answered with OfflineTable::AsOfBatch
-/// calls — one shared-lock acquisition per shard instead of one per spine
-/// row per source. `options` fans work out across sources and entity-range
-/// shards. Output is identical to the retained row-at-a-time reference
-/// (PointInTimeJoinReference), which a property test enforces.
+/// (key, ts), and each source is answered with OfflineTable::AsOfGather
+/// calls into one flat column of cells per source — one shared-lock
+/// acquisition per shard instead of one per spine row per source, and no
+/// Row per matched cell. `options` fans work out across sources and
+/// entity-range shards (and, for this overload, the spine's canonicalize
+/// and sort). Output is identical to a row-at-a-time reference join (one
+/// AsOf per spine row per source, kept under tests/support), which a
+/// property test enforces.
 StatusOr<TrainingSet> PointInTimeJoin(const std::vector<Row>& spine,
                                       const std::string& spine_entity_column,
                                       const std::string& spine_time_column,
@@ -143,20 +167,6 @@ StatusOr<TrainingSet> NaiveLatestJoin(const std::vector<Row>& spine,
 StatusOr<TrainingSet> NaiveLatestJoin(const SpineIndex& spine,
                                       const std::vector<JoinSource>& sources,
                                       const JoinOptions& options = {});
-
-/// Row-at-a-time reference implementations: one locked OfflineTable::AsOf
-/// per spine row per source. Retained as the correctness oracle for the
-/// merge-join property suite and as the baseline in bench_pit_join; not a
-/// serving path.
-StatusOr<TrainingSet> PointInTimeJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources);
-
-StatusOr<TrainingSet> NaiveLatestJoinReference(
-    const std::vector<Row>& spine, const std::string& spine_entity_column,
-    const std::string& spine_time_column,
-    const std::vector<JoinSource>& sources);
 
 /// Counts cells in `candidate` whose value differs from the leakage-free
 /// reference join (same shape required): a measure of silent training bias.

@@ -458,15 +458,43 @@ StatusOr<Row> OfflineTable::AsOf(const Value& entity_key, Timestamp ts) const {
                           FormatTimestamp(ts));
 }
 
-Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
-                               std::span<Row> results,
-                               const AsOfReadOptions& options) const {
+namespace {
+/// Index one past the last posting with ts <= `t`, searching forward from
+/// `pos` (every posting before `pos` is already known to be <= `t`). A
+/// galloping search: O(1) when the cursor moves by a step or two, as on
+/// dense request runs, and O(log d) when it jumps d postings ahead.
+template <typename Posting>
+size_t AdvanceCursor(const std::vector<Posting>& postings, size_t pos,
+                     Timestamp t) {
+  size_t lo = pos;
+  size_t hi = pos;
+  size_t step = 1;
+  while (hi < postings.size() && postings[hi].ts <= t) {
+    lo = hi + 1;
+    hi = lo + step;
+    step *= 2;
+  }
+  hi = std::min(hi, postings.size());
+  return static_cast<size_t>(
+      std::upper_bound(postings.begin() + static_cast<ptrdiff_t>(lo),
+                       postings.begin() + static_cast<ptrdiff_t>(hi), t,
+                       [](Timestamp v, const Posting& g) { return v < g.ts; }) -
+      postings.begin());
+}
+}  // namespace
+
+template <typename Emit>
+Status OfflineTable::ForEachAsOfHit(std::span<const AsOfRequest> requests,
+                                    const AsOfReadOptions& options,
+                                    bool sizes_match, Emit&& emit) const {
   MLFS_FAILPOINT("offline_store.as_of");
-  if (results.size() != requests.size()) {
-    return Status::InvalidArgument("AsOfBatch results/requests size mismatch");
+  if (!sizes_match) {
+    return Status::InvalidArgument(
+        "as-of batch output size does not match the request count");
   }
   MLFS_RETURN_IF_ERROR(ValidateReadOptions(options));
-  for (size_t i = 1; i < requests.size(); ++i) {
+  const size_t n = requests.size();
+  for (size_t i = 1; i < n; ++i) {
     const AsOfRequest& prev = requests[i - 1];
     const AsOfRequest& cur = requests[i];
     if (cur.key < prev.key ||
@@ -475,17 +503,16 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
           "AsOfBatch requests must be sorted by (key, ts)");
     }
   }
-  const size_t n = requests.size();
   if (options.miss_bitmap != nullptr) {
     options.miss_bitmap->assign((n + 63) / 64, 0);
   }
   std::shared_lock lock(mu_);
   // Pass 1: resolve every request to its matched posting (or null). The
   // key directory holds each entity's merged posting stream already sorted
-  // by ts: one hash probe per *entity*, then one flat forward cursor
-  // answers the entity's whole ascending request run. Postings and row
-  // storage stay stable for the duration of the shared lock (appends and
-  // maintenance are excluded), so they can be dereferenced in pass 2.
+  // by ts: one hash probe per *entity*, then one forward cursor answers the
+  // entity's whole ascending request run. Postings and row storage stay
+  // stable for the duration of the shared lock (appends and maintenance
+  // are excluded), so they can be dereferenced in pass 2.
   std::vector<const GlobalPosting*> hits(n, nullptr);
   size_t i = 0;
   while (i < n) {
@@ -498,25 +525,9 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       continue;
     }
     const std::vector<GlobalPosting>& postings = dit->second;
-    const size_t num_postings = postings.size();
     size_t pos = 0;
     for (; i < run_end; ++i) {
-      const Timestamp ts = requests[i].ts;
-      if (options.prune_time_ranges) {
-        // Time-range pruning: the remaining postings are ts-sorted, so a
-        // binary search from the cursor lands directly past the last
-        // matchable posting — every row reference whose timestamp range
-        // cannot contain the request is skipped, never visited. Selects
-        // exactly the posting the linear walk below selects.
-        pos = static_cast<size_t>(
-            std::upper_bound(postings.begin() + pos, postings.end(), ts,
-                             [](Timestamp t, const GlobalPosting& g) {
-                               return t < g.ts;
-                             }) -
-            postings.begin());
-      } else {
-        while (pos < num_postings && postings[pos].ts <= ts) ++pos;
-      }
+      pos = AdvanceCursor(postings, pos, requests[i].ts);
       if (pos > 0) {
         // Rightmost posting with ts <= request: max event time, with the
         // most-recently-appended row winning equal-timestamp ties.
@@ -524,14 +535,8 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       }
     }
   }
-  // Pass 2: materialize. Misses only mark the bitmap — results[i] is left
-  // untouched, no empty row is built. Segment hits (and projected head
-  // hits) gather the requested cells; full-width head hits are deferred to
-  // the prefetch-pipelined copy loop below, which is the hot shape on the
-  // training path (fresh rows still in the mutable head).
-  const bool projected = !options.columns.empty();
-  std::vector<const Row*> head_hits(n, nullptr);
-  std::vector<Value> values;
+  // Pass 2: hand each hit's resolved row to `emit`. Misses only mark the
+  // bitmap; their outputs are never touched.
   for (i = 0; i < n; ++i) {
     const GlobalPosting* g = hits[i];
     if (g == nullptr) {
@@ -540,36 +545,61 @@ Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
       }
       continue;
     }
-    RowLoc loc = Resolve(*g->part, g->ordinal);
-    if (loc.head != nullptr && !projected) {
-      head_hits[i] = loc.head;
-      continue;
-    }
-    values.clear();
-    if (loc.head != nullptr) {
-      for (int col : options.columns) values.push_back(loc.head->value(col));
-    } else {
-      loc.seg->AppendProjected(
-          loc.seg_row, projected ? options.columns : all_columns_, &values);
-    }
-    results[i] = Row::CreateUnsafe(
-        projected ? options.projected_schema : options_.schema, values);
-  }
-  // Pass 3: copy full-width head hits out. The copies are refcount bumps
-  // on control blocks scattered across the partitions, so the loop is
-  // latency-bound on cache misses; prefetching the Row object one stage
-  // ahead and its shared value buffer a second stage ahead overlaps them.
-  constexpr size_t kFetch = 8;
-  for (i = 0; i < n; ++i) {
-    if (i + 2 * kFetch < n && head_hits[i + 2 * kFetch] != nullptr) {
-      __builtin_prefetch(head_hits[i + 2 * kFetch]);
-    }
-    if (i + kFetch < n && head_hits[i + kFetch] != nullptr) {
-      __builtin_prefetch(head_hits[i + kFetch]->payload_address());
-    }
-    if (head_hits[i] != nullptr) results[i] = *head_hits[i];
+    emit(i, Resolve(*g->part, g->ordinal));
   }
   return Status::OK();
+}
+
+Status OfflineTable::AsOfGather(std::span<const AsOfRequest> requests,
+                                const AsOfReadOptions& options,
+                                std::span<Value> cells) const {
+  const std::span<const int> columns =
+      options.columns.empty() ? std::span<const int>(all_columns_)
+                              : options.columns;
+  const size_t width = columns.size();
+  return ForEachAsOfHit(
+      requests, options, cells.size() == requests.size() * width,
+      [&](size_t i, const RowLoc& loc) {
+        Value* out = cells.data() + i * width;
+        if (loc.head != nullptr) {
+          for (size_t p = 0; p < width; ++p) {
+            out[p] = loc.head->value(columns[p]);
+          }
+        } else {
+          for (size_t p = 0; p < width; ++p) {
+            out[p] = loc.seg->value(static_cast<size_t>(columns[p]),
+                                    loc.seg_row);
+          }
+        }
+      });
+}
+
+Status OfflineTable::AsOfBatch(std::span<const AsOfRequest> requests,
+                               std::span<Row> results,
+                               const AsOfReadOptions& options) const {
+  const bool projected = !options.columns.empty();
+  const std::span<const int> columns =
+      projected ? options.columns : std::span<const int>(all_columns_);
+  const SchemaPtr& schema =
+      projected ? options.projected_schema : options_.schema;
+  return ForEachAsOfHit(
+      requests, options, results.size() == requests.size(),
+      [&](size_t i, const RowLoc& loc) {
+        if (loc.head != nullptr && !projected) {
+          // A full-width head hit shares the stored row: a reference-count
+          // bump instead of a per-cell copy.
+          results[i] = *loc.head;
+          return;
+        }
+        std::vector<Value> values;
+        values.reserve(columns.size());
+        if (loc.head != nullptr) {
+          for (int col : columns) values.push_back(loc.head->value(col));
+        } else {
+          loc.seg->AppendProjected(loc.seg_row, columns, &values);
+        }
+        results[i] = Row::CreateUnsafe(schema, std::move(values));
+      });
 }
 
 std::vector<Row> OfflineTable::LatestPerEntityAsOf(Timestamp ts) const {

@@ -49,16 +49,9 @@ struct AsOfReadOptions {
   /// `results` are left untouched — no empty row is materialized — so
   /// callers null-fill from the bitmap instead of probing result rows.
   std::vector<uint64_t>* miss_bitmap = nullptr;
-  /// Time-range pruning of the posting cursor (default on): AsOfBatch
-  /// advances each entity's cursor with a binary search over the remaining
-  /// (ts-sorted) postings instead of stepping row references one at a
-  /// time, skipping every posting a request timestamp cannot match.
-  /// Results are byte-identical either way (pinned by a differential
-  /// test); the knob exists so that equivalence stays testable.
-  bool prune_time_ranges = true;
 };
 
-/// Tests bit `i` of a miss bitmap produced by AsOfBatch.
+/// Tests bit `i` of a miss bitmap produced by AsOfBatch or AsOfGather.
 inline bool MissBitmapTest(const std::vector<uint64_t>& bitmap, size_t i) {
   return (bitmap[i >> 6] >> (i & 63)) & 1;
 }
@@ -209,9 +202,10 @@ class OfflineTable {
   /// Batched point-in-time reads: the offline half of the training hot
   /// path. `requests` must be sorted ascending by (key, ts); the call
   /// acquires the shared lock **once**, probes the key directory once per
-  /// entity, and answers all of an entity's requests with one flat forward
-  /// cursor walk. `results[i]` receives the matched row — a head-row copy
-  /// or a columnar gather — or is left untouched on a miss: callers either
+  /// entity, and answers all of an entity's requests with one forward
+  /// cursor walk. `results[i]` receives the matched row (a shared copy of
+  /// a head row, or a Row packed from the gathered cells; the same engine
+  /// as AsOfGather) or is left untouched on a miss: callers either
   /// pass `options.miss_bitmap` or test `results[i].schema() != nullptr`
   /// against default-constructed inputs. Tie-break matches AsOf: for equal
   /// event times the most recently appended row wins. With
@@ -224,6 +218,20 @@ class OfflineTable {
   Status AsOfBatch(std::span<const AsOfRequest> requests,
                    std::span<Row> results,
                    const AsOfReadOptions& options = {}) const;
+
+  /// Columnar form of AsOfBatch: the same validation, lock, probe and
+  /// cursor walk (one shared engine), but request i's matched cells
+  /// are written straight into `cells[i * width, (i + 1) * width)`, where
+  /// `width` is `options.columns.size()` (the table width when the
+  /// projection is empty). No Row is built per hit. Missed requests leave
+  /// their cells untouched and set their bit in `options.miss_bitmap`.
+  ///
+  /// InvalidArgument if `cells.size() != requests.size() * width`, the
+  /// requests are not sorted, or the projection is malformed. The
+  /// `offline_store.as_of` failpoint is evaluated once per call.
+  Status AsOfGather(std::span<const AsOfRequest> requests,
+                    const AsOfReadOptions& options,
+                    std::span<Value> cells) const;
 
   /// Latest row per entity as of `ts` — the materialization query that
   /// loads the online store.
@@ -365,6 +373,15 @@ class OfflineTable {
   Status CompactInner(size_t min_segments);
   Status EnforceBudgetInner();
   Status ValidateReadOptions(const AsOfReadOptions& options) const;
+  /// The one batched point-in-time engine under AsOfGather and AsOfBatch:
+  /// failpoint, validation (`sizes_match` carries the caller's output-size
+  /// check), then, under one shared lock, pass 1 resolves each request to
+  /// its matched posting and pass 2 calls `emit(i, RowLoc)` per hit and
+  /// marks misses in `options.miss_bitmap`.
+  template <typename Emit>
+  Status ForEachAsOfHit(std::span<const AsOfRequest> requests,
+                        const AsOfReadOptions& options, bool sizes_match,
+                        Emit&& emit) const;
   /// Checks `expr` was compiled against this table's schema (and, when
   /// `need_bool`, that it is a predicate).
   Status ValidateCompiled(const CompiledExpr& expr, bool need_bool) const;

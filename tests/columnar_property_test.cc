@@ -23,6 +23,7 @@
 #include "common/serde.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
+#include "support/reference_join.h"
 
 namespace mlfs {
 namespace {

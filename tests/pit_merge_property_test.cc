@@ -16,6 +16,7 @@
 #include "common/threadpool.h"
 #include "serving/point_in_time.h"
 #include "storage/offline_store.h"
+#include "support/reference_join.h"
 
 namespace mlfs {
 namespace {
@@ -235,6 +236,106 @@ TEST(PitMergeTest, UnjoinableEntityKeyTypeNullFills) {
   EXPECT_EQ(TrainingSetBytes(*merged), TrainingSetBytes(*reference));
   // Every joined cell (3 per row: a_int, a_str, renamed_b) is missing.
   EXPECT_EQ(merged->missing_cells, 2u * 3u);
+}
+
+// Short STRING keys that are byte-prefixes of each other or carry NULs all
+// pack to the same 8-byte sort prefix; the spine sort must then order them
+// by key length (the shorter key is a prefix of the longer), and keep equal
+// keys together by timestamp. Longer keys sharing an 8-byte prefix take the
+// full byte-wise compare. The source also projects one STRING column twice
+// under two names, so both output cells must carry the value.
+TEST(PitMergeTest, ShortStringKeysWithPrefixTiesMatchReference) {
+  const std::vector<std::string> keys = {
+      std::string("a"),        std::string("a\0", 2),
+      std::string("a\0\0", 3), std::string("ab"),
+      std::string("a\0b", 3),  std::string("abcdefgh"),
+      std::string("abcdefgh\0", 9), std::string("abcdefghi")};
+  auto schema = Schema::Create({{"key", FeatureType::kString, false},
+                                {"event_time", FeatureType::kTimestamp, false},
+                                {"v", FeatureType::kInt64, true},
+                                {"tag", FeatureType::kString, true}})
+                    .value();
+  OfflineStore store;
+  OfflineTableOptions opt;
+  opt.name = "short_keys";
+  opt.schema = schema;
+  opt.entity_column = "key";
+  opt.time_column = "event_time";
+  ASSERT_TRUE(store.CreateTable(opt).ok());
+  OfflineTable* table = store.GetTable("short_keys").value();
+  Rng rng(0x5407);
+  std::vector<Row> rows;
+  for (int i = 0; i < 120; ++i) {
+    rows.push_back(Row::CreateUnsafe(
+        schema, {Value::String(keys[rng.Uniform(keys.size())]),
+                 Value::Time(Hours(static_cast<Timestamp>(rng.Uniform(48)))),
+                 Value::Int64(i),
+                 Value::String("tag_long_enough_for_the_heap_" +
+                               std::to_string(i))}));
+  }
+  ASSERT_TRUE(table->AppendBatch(rows).ok());
+  auto spine_schema = Schema::Create({{"key", FeatureType::kString, false},
+                                      {"ts", FeatureType::kTimestamp, false}})
+                          .value();
+  std::vector<Row> spine;
+  for (int i = 0; i < 200; ++i) {
+    spine.push_back(Row::CreateUnsafe(
+        spine_schema,
+        {Value::String(keys[rng.Uniform(keys.size())]),
+         Value::Time(Hours(static_cast<Timestamp>(rng.Uniform(52))))}));
+  }
+  const std::vector<JoinSource> sources = {
+      {table, {}, "s__", 0, {}},
+      {table, {"tag", "tag"}, "", 0, {"tag_a", "tag_b"}}};
+  auto reference = PointInTimeJoinReference(spine, "key", "ts", sources);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto merged = PointInTimeJoin(spine, "key", "ts", sources);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  JoinOptions parallel;
+  parallel.max_threads = 3;
+  auto merged_mt = PointInTimeJoin(spine, "key", "ts", sources, parallel);
+  ASSERT_TRUE(merged_mt.ok()) << merged_mt.status();
+  const std::string want = TrainingSetBytes(*reference);
+  EXPECT_EQ(TrainingSetBytes(*merged), want);
+  EXPECT_EQ(TrainingSetBytes(*merged_mt), want);
+  // Some rows join and some miss (4 joined cells per row), so the check is
+  // not vacuous.
+  EXPECT_GT(reference->missing_cells, 0u);
+  EXPECT_LT(reference->missing_cells, 4 * spine.size());
+}
+
+// Spine rows need equal schemas, not one schema object: rows built from a
+// separately created but equal Schema take the deep-compare path and join
+// exactly like the reference. A spine that mixes genuinely different
+// schemas is still rejected.
+TEST(PitMergeTest, EqualButDistinctSpineSchemasJoinMixedSchemasFail) {
+  Rng rng(0x5c4e);
+  RandomFixture f = BuildFixture(rng, /*string_keys=*/false);
+  auto twin = Schema::Create(f.spine_schema->fields()).value();
+  ASSERT_NE(twin.get(), f.spine_schema.get());
+  std::vector<Row> spine = f.spine;
+  for (size_t i = 1; i < spine.size(); i += 2) {
+    spine[i] = Row::CreateUnsafe(twin, spine[i].values());
+  }
+  auto reference = PointInTimeJoinReference(spine, "key", "ts", f.sources);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto merged = PointInTimeJoin(spine, "key", "ts", f.sources);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_EQ(TrainingSetBytes(*merged), TrainingSetBytes(*reference));
+  EXPECT_EQ(TrainingSetBytes(*merged), TrainingSetBytes(
+                *PointInTimeJoinReference(f.spine, "key", "ts", f.sources)));
+
+  std::vector<FieldSpec> fields = f.spine_schema->fields();
+  fields.back().name = "other_label";
+  auto other = Schema::Create(fields).value();
+  spine.back() = Row::CreateUnsafe(other, spine.back().values());
+  auto mixed = PointInTimeJoin(spine, "key", "ts", f.sources);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_TRUE(mixed.status().IsInvalidArgument()) << mixed.status();
+  auto mixed_ref = PointInTimeJoinReference(spine, "key", "ts", f.sources);
+  ASSERT_FALSE(mixed_ref.ok());
+  EXPECT_TRUE(mixed_ref.status().IsInvalidArgument()) << mixed_ref.status();
+  EXPECT_FALSE(SpineIndex::Build(spine, "key", "ts").ok());
 }
 
 }  // namespace

@@ -738,27 +738,42 @@ class TimePruneTest : public ::testing::Test {
   SchemaPtr schema_;
 };
 
-TEST_F(TimePruneTest, AsOfBatchPruneOnOffByteIdentical) {
+// The batch cursor gallops forward over each entity's ts-sorted postings.
+// On sparse request runs (300 requests over ~100 postings per entity) it
+// jumps many postings at once; on dense runs (5000 requests) it mostly
+// steps by zero or one. Either way every hit must be the row per-request
+// AsOf returns, and the miss set must be exactly AsOf's NotFound set.
+TEST_F(TimePruneTest, AsOfBatchGallopingCursorMatchesAsOf) {
   OfflineStore store;
   Rng rng(0x70ff);
   OfflineTable* t = MakeTable(store, "t", {}, rng, 2000);
-  const auto reqs = MakeRequests(rng, 300);
-  std::vector<AsOfRequest> requests;
-  for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
+  for (int num_requests : {300, 5000}) {
+    const auto reqs = MakeRequests(rng, num_requests);
+    std::vector<AsOfRequest> requests;
+    for (const auto& [k, ts] : reqs) requests.push_back({k, ts});
 
-  std::vector<Row> on(requests.size()), off(requests.size());
-  std::vector<uint64_t> on_miss, off_miss;
-  AsOfReadOptions opt_on, opt_off;
-  opt_on.prune_time_ranges = true;
-  opt_on.miss_bitmap = &on_miss;
-  opt_off.prune_time_ranges = false;
-  opt_off.miss_bitmap = &off_miss;
-  ASSERT_TRUE(t->AsOfBatch(requests, on, opt_on).ok());
-  ASSERT_TRUE(t->AsOfBatch(requests, off, opt_off).ok());
-  EXPECT_EQ(on_miss, off_miss);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (MissBitmapTest(on_miss, i)) continue;
-    EXPECT_EQ(on[i], off[i]) << "request " << i;
+    std::vector<Row> batch(requests.size());
+    std::vector<uint64_t> misses;
+    AsOfReadOptions options;
+    options.miss_bitmap = &misses;
+    ASSERT_TRUE(t->AsOfBatch(requests, batch, options).ok());
+    size_t num_misses = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      auto single = t->AsOf(Value::Int64(std::stoll(reqs[i].first)),
+                            reqs[i].second);
+      ASSERT_EQ(MissBitmapTest(misses, i), !single.ok())
+          << "request " << i << " of " << num_requests;
+      if (!single.ok()) {
+        EXPECT_TRUE(single.status().IsNotFound());
+        ++num_misses;
+        continue;
+      }
+      EXPECT_EQ(batch[i], *single)
+          << "request " << i << " of " << num_requests;
+    }
+    // The fixture mixes absent keys and too-early timestamps with hits.
+    EXPECT_GT(num_misses, 0u);
+    EXPECT_LT(num_misses, requests.size());
   }
 }
 

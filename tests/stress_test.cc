@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "storage/offline_store.h"
 #include "storage/online_store.h"
 #include "streaming/stream_pipeline.h"
+#include "support/reference_join.h"
 
 namespace mlfs {
 namespace {
@@ -781,6 +785,188 @@ TEST_F(StressTest, ConcurrentPointInTimeJoinRacesAppendBatch) {
   EXPECT_EQ(s0->num_rows() + s1->num_rows(),
             static_cast<uint64_t>(kJoinWriters) * kBatchesPerWriter *
                 kRowsPerBatch);
+}
+
+// The serial and the sharded merge join racing storage maintenance on
+// their source logs: a maintenance thread seals, compacts and spills (under
+// a 4 KiB memory budget) while a writer keeps filling the heads with rows
+// for entities the spine never asks about, so every tier transition keeps
+// happening mid-join. The gather writes segment and head cells into the
+// join's columns under the shared lock; under TSan this certifies that
+// discipline. The visible history never changes, so every joined cell must
+// equal the et_copy oracle: the newest event time <= the spine timestamp
+// (within max_age for s1), and the tag derived from it.
+TEST_F(StressTest, ConcurrentPointInTimeJoinRacesMaintenance) {
+  constexpr int64_t kJoinKeys = 16;
+  constexpr int kVisibleRows = 400;
+  constexpr int kNoiseBatches = 120;
+  constexpr size_t kRowsPerBatch = 24;
+  constexpr int kJoinsPerReader = 30;
+  constexpr Timestamp kHorizon = Hours(24 * 12);  // ~12 daily partitions.
+  const std::string spill_dir =
+      (std::filesystem::path(::testing::TempDir()) / "mlfs_pit_maintenance")
+          .string();
+
+  SchemaPtr source_schema =
+      Schema::Create({{"key", FeatureType::kInt64, false},
+                      {"event_time", FeatureType::kTimestamp, false},
+                      {"et_copy", FeatureType::kInt64, true},
+                      {"tag", FeatureType::kString, true}})
+          .value();
+  const auto make_row = [&source_schema](int64_t key, Timestamp et) {
+    return Row::CreateUnsafe(
+        source_schema, {Value::Int64(key), Value::Time(et),
+                        Value::Int64(static_cast<int64_t>(et)),
+                        Value::String("t" + std::to_string(et))});
+  };
+  OfflineStore offline;
+  // Visible event times per (table, key), for the oracle.
+  std::vector<std::map<int64_t, std::vector<Timestamp>>> visible(2);
+  {
+    Rng rng(0x3a17);
+    for (int t = 0; t < 2; ++t) {
+      OfflineTableOptions opt;
+      opt.name = t == 0 ? "pit_m0" : "pit_m1";
+      opt.schema = source_schema;
+      opt.entity_column = "key";
+      opt.time_column = "event_time";
+      opt.seal_rows = 32;
+      opt.compact_min_segments = 2;
+      opt.memory_budget_bytes = 4 * 1024;
+      opt.spill_dir = spill_dir + "/" + opt.name;
+      ASSERT_TRUE(offline.CreateTable(std::move(opt)).ok());
+      OfflineTable* table = offline.GetTable(t == 0 ? "pit_m0" : "pit_m1")
+                                .value();
+      std::vector<Row> rows;
+      for (int i = 0; i < kVisibleRows; ++i) {
+        const int64_t key = static_cast<int64_t>(rng.Uniform(kJoinKeys));
+        const Timestamp et =
+            Seconds(1) + static_cast<Timestamp>(rng.Uniform(kHorizon));
+        rows.push_back(make_row(key, et));
+        visible[t][key].push_back(et);
+      }
+      ASSERT_TRUE(table->AppendBatch(rows).ok());
+    }
+  }
+  OfflineTable* m0 = offline.GetTable("pit_m0").value();
+  OfflineTable* m1 = offline.GetTable("pit_m1").value();
+
+  SchemaPtr spine_schema =
+      Schema::Create({{"key", FeatureType::kInt64, false},
+                      {"ts", FeatureType::kTimestamp, false}})
+          .value();
+  std::vector<Row> spine;
+  {
+    Rng rng(0x5e1f);
+    for (int i = 0; i < 200; ++i) {
+      spine.push_back(Row::CreateUnsafe(
+          spine_schema,
+          {Value::Int64(static_cast<int64_t>(rng.Uniform(kJoinKeys))),
+           Value::Time(Seconds(1) +
+                       static_cast<Timestamp>(rng.Uniform(kHorizon)))}));
+    }
+  }
+  std::vector<JoinSource> sources(2);
+  sources[0].table = m0;
+  sources[0].prefix = "m0__";
+  sources[1].table = m1;
+  sources[1].prefix = "m1__";
+  sources[1].max_age = Hours(24 * 3);
+
+  // Oracle cells per spine row: m0__et_copy, m0__tag, m1__et_copy, m1__tag.
+  std::vector<std::vector<Value>> want(spine.size());
+  uint64_t want_missing = 0;
+  for (size_t r = 0; r < spine.size(); ++r) {
+    const int64_t key = spine[r].value(0).int64_value();
+    const Timestamp ts = spine[r].value(1).time_value();
+    for (int t = 0; t < 2; ++t) {
+      std::optional<Timestamp> newest;
+      for (Timestamp et : visible[t][key]) {
+        if (et <= ts && (!newest || et > *newest)) newest = et;
+      }
+      if (newest && sources[t].max_age > 0 &&
+          *newest < ts - sources[t].max_age) {
+        newest.reset();
+      }
+      if (newest) {
+        want[r].push_back(Value::Int64(static_cast<int64_t>(*newest)));
+        want[r].push_back(Value::String("t" + std::to_string(*newest)));
+      } else {
+        want[r].push_back(Value::Null());
+        want[r].push_back(Value::Null());
+        want_missing += 2;
+      }
+    }
+  }
+
+  std::atomic<int> readers_left{2};
+  std::atomic<uint64_t> maintenance_passes{0};
+  ThreadPool pool(4);
+  // Writer: rows for entities outside the spine, so the heads keep
+  // refilling (auto-seal at seal_rows) without changing any joined cell.
+  pool.Submit([&] {
+    Rng rng(0x0b5e);
+    for (int b = 0; b < kNoiseBatches; ++b) {
+      std::vector<Row> batch;
+      for (size_t i = 0; i < kRowsPerBatch; ++i) {
+        batch.push_back(make_row(
+            1000 + static_cast<int64_t>(rng.Uniform(100)),
+            Seconds(1) + static_cast<Timestamp>(rng.Uniform(kHorizon))));
+      }
+      ASSERT_TRUE((b % 2 == 0 ? m0 : m1)->AppendBatch(batch).ok());
+    }
+  });
+  // Maintenance: seal, compact and spill both logs until the readers stop.
+  pool.Submit([&] {
+    while (readers_left.load(std::memory_order_acquire) > 0) {
+      for (OfflineTable* table : {m0, m1}) {
+        ASSERT_TRUE(table->SealHeads().ok());
+        ASSERT_TRUE(table->RunMaintenance().ok());
+        ASSERT_TRUE(table->CompactPartitions().ok());
+      }
+      maintenance_passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Readers: one serial merge join, one sharded over an internal pool.
+  for (int r = 0; r < 2; ++r) {
+    pool.Submit([&, r] {
+      JoinOptions options;
+      options.max_threads = (r == 0) ? 1 : 3;
+      for (int i = 0; i < kJoinsPerReader; ++i) {
+        auto ts = PointInTimeJoin(spine, "key", "ts", sources, options);
+        ASSERT_TRUE(ts.ok()) << ts.status();
+        ASSERT_EQ(ts->rows.size(), spine.size());
+        ASSERT_EQ(ts->missing_cells, want_missing);
+        for (size_t row = 0; row < ts->rows.size(); ++row) {
+          for (size_t c = 0; c < 4; ++c) {
+            ASSERT_EQ(ts->rows[row].value(2 + c), want[row][c])
+                << "join " << i << " row " << row << " cell " << c;
+          }
+        }
+      }
+      readers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  pool.Wait();
+
+  EXPECT_GT(maintenance_passes.load(), 0u);
+  for (OfflineTable* table : {m0, m1}) {
+    const OfflineStorageStats stats = table->storage_stats();
+    EXPECT_GT(stats.sealed_segments, 0u);
+    EXPECT_GT(stats.spilled_segments, 0u);
+    EXPECT_EQ(stats.maintenance_errors, 0u);
+  }
+  // Quiesced: the merge join and the reference agree on the final state.
+  auto reference = PointInTimeJoinReference(spine, "key", "ts", sources);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto merged = PointInTimeJoin(spine, "key", "ts", sources);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  ASSERT_EQ(merged->rows.size(), reference->rows.size());
+  for (size_t row = 0; row < merged->rows.size(); ++row) {
+    EXPECT_EQ(merged->rows[row], reference->rows[row]) << "row " << row;
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir, ec);
 }
 
 }  // namespace
