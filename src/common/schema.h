@@ -48,8 +48,10 @@ class Schema {
 
   std::string ToString() const;
 
+  /// Identity first: rows of one table share one SchemaPtr, so the
+  /// per-row checks on the write and join paths skip the field compare.
   friend bool operator==(const Schema& a, const Schema& b) {
-    return a.fields_ == b.fields_;
+    return &a == &b || a.fields_ == b.fields_;
   }
 
  private:

@@ -42,24 +42,6 @@ StatusOr<double> Value::AsDouble() const {
   }
 }
 
-size_t Value::ByteSize() const {
-  switch (type_) {
-    case FeatureType::kNull:
-      return 1;
-    case FeatureType::kBool:
-      return 2;
-    case FeatureType::kInt64:
-    case FeatureType::kDouble:
-    case FeatureType::kTimestamp:
-      return 9;
-    case FeatureType::kString:
-      return 5 + string_value().size();
-    case FeatureType::kEmbedding:
-      return 5 + embedding_value().size() * sizeof(float);
-  }
-  return 1;
-}
-
 std::string Value::ToString() const {
   char buf[64];
   switch (type_) {

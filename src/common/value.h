@@ -92,8 +92,25 @@ class Value {
   /// Error for other types (including null).
   StatusOr<double> AsDouble() const;
 
-  /// Byte footprint estimate used by store accounting.
-  size_t ByteSize() const;
+  /// Byte footprint estimate used by store accounting. Inline: the online
+  /// store sizes every written row with it.
+  size_t ByteSize() const {
+    switch (type_) {
+      case FeatureType::kNull:
+        return 1;
+      case FeatureType::kBool:
+        return 2;
+      case FeatureType::kInt64:
+      case FeatureType::kDouble:
+      case FeatureType::kTimestamp:
+        return 9;
+      case FeatureType::kString:
+        return 5 + string_value().size();
+      case FeatureType::kEmbedding:
+        return 5 + embedding_value().size() * sizeof(float);
+    }
+    return 1;
+  }
 
   /// Debug rendering; embeddings render as "emb[dim]" with a short prefix.
   std::string ToString() const;

@@ -63,14 +63,15 @@ Status FeatureStore::Ingest(const std::string& table,
                            TableArtifact(table));
   }
   const Timestamp now = clock_.now();
+  std::vector<OnlinePut> puts;
+  puts.reserve(rows.size());
   for (const Row& row : rows) {
     const Value& key = row.value(static_cast<size_t>(entity_idx));
     const Value& ts = row.value(static_cast<size_t>(time_idx));
     if (key.is_null() || ts.is_null()) continue;
-    MLFS_RETURN_IF_ERROR(
-        online_.Put(mirror, key, row, ts.time_value(), now));
+    puts.push_back(OnlinePut{key, row, ts.time_value(), now});
   }
-  return Status::OK();
+  return online_.PutBatch(mirror, puts);
 }
 
 StatusOr<int> FeatureStore::PublishFeature(const FeatureDefinition& def) {
@@ -152,18 +153,18 @@ Status FeatureStore::MaterializeEmbedding(const std::string& name) {
   const Timestamp now = clock_.now();
   const Timestamp event_time =
       table->metadata().created_at > 0 ? table->metadata().created_at : now;
+  std::vector<OnlinePut> puts;
+  puts.reserve(table->size());
   for (size_t i = 0; i < table->size(); ++i) {
     std::vector<float> vec(table->dim());
     table->CopyRow(i, vec.data());
+    Value key = Value::String(table->key(i));
     MLFS_ASSIGN_OR_RETURN(
-        Row out,
-        Row::Create(schema, {Value::String(table->key(i)),
-                             Value::Time(event_time),
-                             Value::Embedding(std::move(vec))}));
-    MLFS_RETURN_IF_ERROR(online_.Put(name, Value::String(table->key(i)),
-                                     out, event_time, now));
+        Row out, Row::Create(schema, {key, Value::Time(event_time),
+                                      Value::Embedding(std::move(vec))}));
+    puts.push_back(OnlinePut{std::move(key), std::move(out), event_time, now});
   }
-  return Status::OK();
+  return online_.PutBatch(name, puts);
 }
 
 StatusOr<std::vector<float>> FeatureStore::GetEmbedding(

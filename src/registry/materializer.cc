@@ -55,23 +55,25 @@ StatusOr<MaterializationResult> Materializer::Materialize(
   // full-width source rows — only (entity, event_time, value) cells.
   MLFS_ASSIGN_OR_RETURN(std::vector<MaterializedCell> cells,
                         source->EvalLatestPerEntityAsOf(now, compiled));
-  // Buffer the feature-log rows and flush them in one AppendBatch (one
-  // exclusive lock for the run) instead of taking the log table's write
-  // lock once per entity.
+  // Buffer the rows and write them as one PutBatch (one lock per online
+  // shard) and one AppendBatch (one exclusive lock on the log table)
+  // instead of locking once per entity.
   std::vector<Row> log_rows;
   log_rows.reserve(cells.size());
+  std::vector<OnlinePut> puts;
+  puts.reserve(cells.size());
   for (MaterializedCell& cell : cells) {
     if (cell.value.is_null()) ++result.null_values;
     MLFS_ASSIGN_OR_RETURN(
         Row out_row,
         Row::Create(out_schema, {cell.entity, Value::Time(cell.event_time),
                                  std::move(cell.value)}));
-    MLFS_RETURN_IF_ERROR(online_->Put(view, cell.entity, out_row,
-                                      cell.event_time, now,
-                                      feature.def.online_ttl));
+    puts.push_back(OnlinePut{std::move(cell.entity), out_row, cell.event_time,
+                             now, feature.def.online_ttl});
     log_rows.push_back(std::move(out_row));
-    ++result.entities_updated;
   }
+  MLFS_RETURN_IF_ERROR(online_->PutBatch(view, puts));
+  result.entities_updated = puts.size();
   MLFS_RETURN_IF_ERROR(log_table->AppendBatch(log_rows));
   // A materialization run is the natural tier boundary: the rows just
   // written are the batch's cold edge, so seal/compact/spill now instead

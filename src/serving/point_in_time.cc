@@ -370,11 +370,8 @@ StatusOr<SpineIndex> SpineIndex::Index(
     ents.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       const Row& spine_row = spine[i];
-      // Rows built from one SchemaPtr (the common case) skip the field-by-
-      // field compare; an equal schema created separately still passes.
-      if (spine_row.schema().get() != schema &&
-          (spine_row.schema() == nullptr ||
-           !(*spine_row.schema() == *schema))) {
+      if (spine_row.schema() == nullptr ||
+          !(*spine_row.schema() == *schema)) {
         run_status[run] =
             Status::InvalidArgument("spine rows have mixed schemas");
         return;

@@ -24,7 +24,21 @@ struct OnlineCell {
   Timestamp event_time = 0;
   Timestamp write_time = 0;
   Timestamp expires_at = 0;  // kMaxTimestamp when no TTL.
+  /// row.ByteSize(), taken when the row was written: overwriting or
+  /// evicting the cell settles the shard's byte count without walking the
+  /// (by then cache-cold) old row.
+  size_t bytes = 0;
 };
+
+/// Shard of a cell-key hash among `num_shards`, taken from the hash's high
+/// 32 bits. A CellMap starts probing at the hash's low bits, so the two
+/// must not overlap: with both from the low bits every key of a shard
+/// would share them and only 1/num_shards of each table's home slots
+/// would ever be used. Every path that picks a shard for a CellMap key
+/// calls this.
+inline size_t ShardOfHash(uint64_t hash, size_t num_shards) {
+  return static_cast<size_t>(((hash >> 32) * num_shards) >> 32);
+}
 
 /// Open-addressing hash map from composed cell key ("view\x1fentity") to
 /// OnlineCell, specialized for the online-store read path:
@@ -50,6 +64,12 @@ class CellMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  size_t capacity() const { return hashes_.size(); }
+
+  /// Slot where the probe for `hash` starts (capacity() must be non-zero).
+  size_t HomeSlot(uint64_t hash) const {
+    return HashToTag(hash) & (hashes_.size() - 1);
+  }
 
   /// Returns the cell for `key` (whose hash is `hash`), or nullptr.
   const OnlineCell* Find(uint64_t hash, std::string_view key) const {
@@ -134,7 +154,7 @@ class CellMap {
   /// Prefetches the probe window for `hash` (the dense tag array).
   void PrefetchBucket(uint64_t hash) const {
     if (hashes_.empty()) return;
-    Prefetch(&hashes_[HashToTag(hash) & (hashes_.size() - 1)]);
+    Prefetch(&hashes_[HomeSlot(hash)]);
   }
 
   /// Walks the (already prefetched) tag array, prefetches the slot of the

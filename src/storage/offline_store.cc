@@ -122,10 +122,16 @@ Status OfflineTable::SealPartitionLocked(int64_t pid, Partition& part) {
   return Status::OK();
 }
 
-Status OfflineTable::AppendLocked(const Row& row) {
-  if (row.schema() == nullptr || !(*row.schema() == *options_.schema)) {
-    return Status::InvalidArgument("row schema does not match table '" +
-                                   options_.name + "'");
+Status OfflineTable::AppendLocked(const Row& row,
+                                  const Schema** verified_schema) {
+  // A batch's rows usually share one schema object: the fields are
+  // compared once per distinct object, not once per row.
+  if (row.schema().get() != *verified_schema) {
+    if (row.schema() == nullptr || !(*row.schema() == *options_.schema)) {
+      return Status::InvalidArgument("row schema does not match table '" +
+                                     options_.name + "'");
+    }
+    *verified_schema = row.schema().get();
   }
   const Value& evalue = row.value(entity_idx_);
   MLFS_ASSIGN_OR_RETURN(std::string key, EntityKeyToString(evalue));
@@ -138,18 +144,10 @@ Status OfflineTable::AppendLocked(const Row& row) {
   Partition& part = partitions_[pid];
   const size_t ordinal = part.head_base + part.head_rows.size();
   part.head_rows.push_back(row);
-  auto& postings = part.index[key];
-  // Insert in ts order (stable for equal timestamps: later insert wins by
-  // being placed after, so as-of picks the most recently appended row).
-  auto pos = std::upper_bound(
-      postings.begin(), postings.end(), ts,
-      [](Timestamp t, const IndexEntry& e) { return t < e.ts; });
-  postings.insert(pos, IndexEntry{ts, ordinal});
-  // Mirror the insert into the key directory's merged stream. upper_bound
-  // places equal timestamps after existing ones — the same
-  // most-recently-appended tie-break as the per-partition postings — and
-  // partitions cover disjoint time ranges, so ts order alone keeps the
-  // merged stream consistent with a partition-ordered walk.
+  // Insert into the key directory's merged stream in ts order. upper_bound
+  // places equal timestamps after existing ones, so as-of reads pick the
+  // most recently appended row; partitions cover disjoint time ranges, so
+  // ts order alone keeps the stream consistent with a partition walk.
   std::vector<GlobalPosting>& merged = key_directory_[key];
   auto gpos = std::upper_bound(
       merged.begin(), merged.end(), ts,
@@ -169,14 +167,16 @@ Status OfflineTable::AppendLocked(const Row& row) {
 Status OfflineTable::Append(const Row& row) {
   MLFS_FAILPOINT("offline_store.append");
   std::unique_lock lock(mu_);
-  return AppendLocked(row);
+  const Schema* verified = options_.schema.get();
+  return AppendLocked(row, &verified);
 }
 
 Status OfflineTable::AppendBatch(const std::vector<Row>& rows) {
   MLFS_FAILPOINT("offline_store.append");
   std::unique_lock lock(mu_);
+  const Schema* verified = options_.schema.get();
   for (const Row& row : rows) {
-    MLFS_RETURN_IF_ERROR(AppendLocked(row));
+    MLFS_RETURN_IF_ERROR(AppendLocked(row, &verified));
   }
   return Status::OK();
 }
@@ -793,22 +793,11 @@ Status OfflineTable::CompactRun(int64_t pid, std::vector<SegmentPtr> captured) {
   // concatenating a captured run in order is ordinal order — the merged
   // segment covers the contiguous range starting at the run's first base
   // and the append-order tie-break is untouched.
-  std::vector<Row> rows;
-  size_t total = 0;
-  for (const SegmentPtr& seg : captured) total += seg->num_rows();
-  rows.reserve(total);
-  std::vector<Value> values;
-  for (const SegmentPtr& seg : captured) {
-    for (size_t r = 0; r < seg->num_rows(); ++r) {
-      values.clear();
-      seg->AppendProjected(r, all_columns_, &values);
-      rows.push_back(Row::CreateUnsafe(options_.schema, values));
-    }
-  }
+  // The merge runs column to column over the encoded buffers (resident or
+  // mapped); no Row is built.
   MLFS_ASSIGN_OR_RETURN(
       std::string blob,
-      Segment::Encode(options_.schema, pid, entity_idx_, time_idx_,
-                      std::span<const Row>(rows)));
+      Segment::Merge(options_.schema, pid, entity_idx_, time_idx_, captured));
   MLFS_ASSIGN_OR_RETURN(SegmentPtr merged, Segment::FromBytes(std::move(blob)));
   // Swap under the exclusive lock, after verifying the captured run is
   // still in place (it must be — see above — but a pointer check is cheap
@@ -1117,19 +1106,14 @@ Status OfflineTable::AdoptSegmentLocked(const SegmentPtr& seg) {
   part.segments.push_back(seg);
   part.segment_base.push_back(base);
   part.head_base += seg->num_rows();
-  // Rebuild index postings. Rows are visited in ordinal order and segments
-  // are adopted in ordinal order, so upper_bound reproduces the original
-  // append-order tie-break for equal timestamps.
+  // Rebuild the key directory's postings. Rows are visited in ordinal
+  // order and segments are adopted in ordinal order, so upper_bound
+  // reproduces the original append-order tie-break for equal timestamps.
   for (size_t r = 0; r < seg->num_rows(); ++r) {
     MLFS_ASSIGN_OR_RETURN(std::string key,
                           EntityKeyToString(seg->value(entity_idx_, r)));
     const Timestamp ts = seg->ts(r);
     const size_t ordinal = base + r;
-    auto& postings = part.index[key];
-    auto pos = std::upper_bound(
-        postings.begin(), postings.end(), ts,
-        [](Timestamp t, const IndexEntry& e) { return t < e.ts; });
-    postings.insert(pos, IndexEntry{ts, ordinal});
     std::vector<GlobalPosting>& merged = key_directory_[key];
     auto gpos = std::upper_bound(
         merged.begin(), merged.end(), ts,
@@ -1193,9 +1177,10 @@ Status OfflineTable::Restore(std::string_view snapshot) {
     }
   }
   MLFS_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint64());
+  const Schema* verified = options_.schema.get();
   for (uint64_t i = 0; i < n; ++i) {
     MLFS_ASSIGN_OR_RETURN(Row row, dec.GetRow(options_.schema));
-    MLFS_RETURN_IF_ERROR(AppendLocked(row));
+    MLFS_RETURN_IF_ERROR(AppendLocked(row, &verified));
   }
   return Status::OK();
 }

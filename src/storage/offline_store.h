@@ -306,11 +306,7 @@ class OfflineTable {
       std::string_view snapshot);
 
  private:
-  struct IndexEntry {
-    Timestamp ts;
-    size_t ordinal;
-  };
-  /// Transparent hash/eq so batch reads can probe the index with
+  /// Transparent hash/eq so batch reads can probe the key directory with
   /// string_view keys without materializing a std::string per lookup.
   struct KeyHash {
     using is_transparent = void;
@@ -328,18 +324,13 @@ class OfflineTable {
   /// Ordinals are assigned at append time and never change: sealing moves
   /// the head's ordinal range into a segment, compaction concatenates
   /// adjacent segments' ranges, spilling only swaps a segment's backing
-  /// store — so index postings survive every tier transition untouched.
+  /// store — so key-directory postings survive every tier transition
+  /// untouched.
   struct Partition {
     std::vector<SegmentPtr> segments;
     std::vector<size_t> segment_base;  // Parallel to `segments`.
     size_t head_base = 0;
     std::vector<Row> head_rows;
-    // Per-entity (ts, ordinal) postings, kept sorted by ts at insert time
-    // so concurrent readers never need to mutate the index. Equal
-    // timestamps keep append order (later appends later), which is what
-    // gives as-of reads their most-recently-appended tie-break.
-    std::unordered_map<std::string, std::vector<IndexEntry>, KeyHash, KeyEq>
-        index;
   };
   /// One row reference in the cross-partition key directory. The Partition
   /// pointer is node-stable (std::map node); the row is addressed by its
@@ -358,11 +349,14 @@ class OfflineTable {
 
   explicit OfflineTable(OfflineTableOptions options);
 
-  Status AppendLocked(const Row& row);
+  /// Appends one row (caller holds the exclusive lock). `verified_schema`
+  /// is the last row schema object found equal to the table's; rows that
+  /// share it skip the field-by-field compare.
+  Status AppendLocked(const Row& row, const Schema** verified_schema);
   /// Seals `part`'s head into a segment (caller holds the exclusive lock).
   Status SealPartitionLocked(int64_t pid, Partition& part);
   /// Adopts a restored segment as the next ordinal range of its partition
-  /// and rebuilds its index postings (caller holds the exclusive lock).
+  /// and adds its key-directory postings (caller holds the exclusive lock).
   Status AdoptSegmentLocked(const SegmentPtr& seg);
   Status CompactPartition(int64_t pid);
   /// Merges `captured` — a contiguous run of `pid`'s sealed segments,
@@ -402,10 +396,9 @@ class OfflineTable {
   mutable std::shared_mutex mu_;
   // Ordered so as-of reads can walk partitions newest-first.
   std::map<int64_t, Partition> partitions_;
-  // Key directory: entity key -> the entity's full posting stream merged
-  // across partitions, globally sorted by ts with equal timestamps in
-  // append order (the same tie-break the per-partition postings keep).
-  // Maintained on append (under the exclusive lock) so AsOfBatch answers a
+  // Key directory, the only per-key index: entity key -> the entity's full
+  // posting stream merged across partitions, globally sorted by ts with
+  // equal timestamps in append order. Maintained on append (under the exclusive lock) so AsOfBatch answers a
   // key's whole request run with one hash probe and one flat, sequential
   // cursor walk — no per-partition probing or pointer chasing.
   std::unordered_map<std::string, std::vector<GlobalPosting>, KeyHash, KeyEq>

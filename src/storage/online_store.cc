@@ -1,7 +1,5 @@
 #include "storage/online_store.h"
 
-#include <charconv>
-
 #include "common/failpoint.h"
 #include "common/serde.h"
 #include "storage/entity_key.h"
@@ -62,6 +60,29 @@ MultiGetScratch& GetMultiGetScratch() {
   return scratch;
 }
 
+/// One admitted row inside PutBatch.
+struct PendingPut {
+  uint64_t hash;         // Cell-key hash.
+  uint32_t index;        // Position in the input batch.
+  uint32_t shard;        // Destination shard.
+  uint32_t offset, len;  // Full-key bytes in the scratch arena.
+  Timestamp expires_at;
+  size_t bytes;          // The row's ByteSize(), taken off-lock.
+};
+
+/// Per-thread PutBatch working memory, reused across calls.
+struct PutBatchScratch {
+  std::string arena;
+  std::vector<PendingPut> admitted;
+  std::vector<PendingPut> sorted;
+  std::vector<uint32_t> shard_start;
+};
+
+PutBatchScratch& GetPutBatchScratch() {
+  static thread_local PutBatchScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 OnlineStore::OnlineStore(OnlineStoreOptions options)
@@ -115,39 +136,129 @@ StatusOr<SchemaPtr> OnlineStore::ViewSchema(const std::string& view) const {
 Status OnlineStore::Put(const std::string& view, const Value& entity_key,
                         Row row, Timestamp event_time, Timestamp write_time,
                         Timestamp ttl) {
-  // Injected before any counter/state mutation so stats invariants hold
-  // under fault injection.
-  MLFS_FAILPOINT("online_store.put");
-  MLFS_ASSIGN_OR_RETURN(SchemaPtr schema, ViewSchema(view));
-  if (row.schema() == nullptr || !(*row.schema() == *schema)) {
-    return Status::InvalidArgument("row schema does not match view '" + view +
-                                   "'");
-  }
-  MLFS_ASSIGN_OR_RETURN(std::string key, EntityKeyToString(entity_key));
-  if (ttl <= 0) ttl = options_.default_ttl;
-  Timestamp expires_at =
-      (ttl <= 0) ? kMaxTimestamp
-                 : (write_time > kMaxTimestamp - ttl ? kMaxTimestamp
-                                                     : write_time + ttl);
-  if (expires_at != kMaxTimestamp) {
-    may_have_ttl_.store(true, std::memory_order_relaxed);
-  }
-  std::string full_key = FullKey(view, key);
-  const uint64_t h = CellKeyHash(ViewHashSeed(view), key);
-  Shard& shard = ShardFor(h);
-  puts_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(shard.mu);
-  auto [cell, inserted] = shard.cells.Insert(h, full_key, OnlineCell{});
-  if (!inserted) {
-    if (cell->event_time > event_time) {
-      stale_writes_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();  // Keep the fresher cell.
+  OnlinePut put{entity_key, std::move(row), event_time, write_time, ttl};
+  return PutBatch(view, std::span<OnlinePut>(&put, 1));
+}
+
+Status OnlineStore::PutBatch(const std::string& view,
+                             std::span<OnlinePut> puts) {
+  const size_t n = puts.size();
+  if (n == 0) return Status::OK();
+  PutBatchScratch& scr = GetPutBatchScratch();
+  std::string& arena = scr.arena;
+  arena.clear();
+  std::vector<PendingPut>& admitted = scr.admitted;
+  admitted.clear();
+  std::vector<uint32_t>& shard_start = scr.shard_start;
+  shard_start.assign(shards_.size() + 1, 0);
+
+  // Pass 1 — admission in input order, with exactly the checks a loop of
+  // Put makes and in its order: the failpoint (before any counter or state
+  // mutation, so stats invariants hold under fault injection), the view,
+  // the row's schema, the entity key. The first failure ends admission;
+  // the rows before it are still written, as the loop would have.
+  Status status;
+  SchemaPtr schema;
+  const Schema* verified_schema = nullptr;  // Last row schema found equal.
+  uint64_t view_seed = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (FailpointRegistry::Instance().AnyArmed()) {
+      status = FailpointRegistry::Instance().Evaluate("online_store.put");
+      if (!status.ok()) break;
     }
-    shard.approx_bytes -= cell->row.ByteSize();
+    if (schema == nullptr) {
+      StatusOr<SchemaPtr> found = ViewSchema(view);
+      if (!found.ok()) {
+        status = found.status();
+        break;
+      }
+      schema = *std::move(found);
+      verified_schema = schema.get();
+      view_seed = ViewHashSeed(view);
+    }
+    const OnlinePut& put = puts[i];
+    if (put.row.schema().get() != verified_schema) {
+      // Compared field by field once per distinct schema object.
+      if (put.row.schema() == nullptr || !(*put.row.schema() == *schema)) {
+        status = Status::InvalidArgument("row schema does not match view '" +
+                                         view + "'");
+        break;
+      }
+      verified_schema = put.row.schema().get();
+    }
+    const uint32_t offset = static_cast<uint32_t>(arena.size());
+    arena += view;
+    arena += '\x1f';  // Unit separator; views cannot contain it.
+    const uint32_t key_offset = static_cast<uint32_t>(arena.size());
+    if (!AppendEntityKey(put.entity_key, &arena)) {
+      arena.resize(offset);
+      status = InvalidEntityKey(put.entity_key);
+      break;
+    }
+    const Timestamp ttl = put.ttl <= 0 ? options_.default_ttl : put.ttl;
+    const Timestamp expires_at =
+        (ttl <= 0) ? kMaxTimestamp
+                   : (put.write_time > kMaxTimestamp - ttl
+                          ? kMaxTimestamp
+                          : put.write_time + ttl);
+    if (expires_at != kMaxTimestamp) {
+      // Set before the cell is published (see MultiGet).
+      may_have_ttl_.store(true, std::memory_order_relaxed);
+    }
+    PendingPut p;
+    p.hash = CellKeyHash(view_seed, std::string_view(arena).substr(key_offset));
+    p.index = static_cast<uint32_t>(i);
+    p.shard = static_cast<uint32_t>(ShardOfHash(p.hash, shards_.size()));
+    p.offset = offset;
+    p.len = static_cast<uint32_t>(arena.size()) - offset;
+    p.expires_at = expires_at;
+    p.bytes = put.row.ByteSize();
+    admitted.push_back(p);
+    ++shard_start[p.shard + 1];
   }
-  shard.approx_bytes += row.ByteSize();
-  *cell = OnlineCell{std::move(row), event_time, write_time, expires_at};
-  return Status::OK();
+  if (admitted.empty()) return status;
+  puts_.fetch_add(admitted.size(), std::memory_order_relaxed);
+
+  // Pass 2 — stable counting sort by shard: rows keep input order within
+  // a shard, and equal keys always share a shard, so in-batch duplicates
+  // apply in input order exactly as the loop would apply them.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    shard_start[s + 1] += shard_start[s];
+  }
+  std::vector<PendingPut>& sorted = scr.sorted;
+  sorted.resize(admitted.size());
+  for (const PendingPut& p : admitted) sorted[shard_start[p.shard]++] = p;
+  // shard_start[s] now holds the end of shard s's run.
+
+  // Pass 3 — one exclusive lock per touched shard, one shard at a time.
+  uint64_t stale = 0;
+  size_t begin = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const size_t end = shard_start[s];
+    if (end == begin) continue;
+    Shard& shard = *shards_[s];
+    std::lock_guard lock(shard.mu);
+    for (size_t k = begin; k < end; ++k) {
+      const PendingPut& p = sorted[k];
+      OnlinePut& put = puts[p.index];
+      auto [cell, inserted] = shard.cells.Insert(
+          p.hash, std::string_view(arena.data() + p.offset, p.len),
+          OnlineCell{});
+      if (!inserted) {
+        if (cell->event_time > put.event_time) {
+          ++stale;  // Keep the fresher cell.
+          continue;
+        }
+        shard.approx_bytes -= cell->bytes;
+      }
+      shard.approx_bytes += p.bytes;
+      *cell = OnlineCell{std::move(put.row), put.event_time, put.write_time,
+                         p.expires_at, p.bytes};
+    }
+    begin = end;
+  }
+  if (stale != 0) stale_writes_.fetch_add(stale, std::memory_order_relaxed);
+  return status;
 }
 
 StatusOr<Row> OnlineStore::Get(const std::string& view,
@@ -258,24 +369,11 @@ std::vector<StatusOr<Row>> OnlineStore::MultiGet(
     const uint32_t offset = static_cast<uint32_t>(arena.size());
     arena += view;
     arena += '\x1f';
-    switch (ek.type()) {
-      case FeatureType::kInt64: {
-        char digits[20];
-        auto res = std::to_chars(digits, digits + sizeof(digits),
-                                 ek.int64_value());
-        arena.append(digits, res.ptr);
-        break;
-      }
-      case FeatureType::kString:
-        arena += ek.string_value();
-        break;
-      default:
-        arena.resize(offset);  // Roll back the partial full key.
-        ++misses;
-        errs[i] = Status::InvalidArgument(
-            "entity key must be INT64 or STRING, got " +
-            std::string(FeatureTypeToString(ek.type())));
-        continue;
+    if (!AppendEntityKey(ek, &arena)) {
+      arena.resize(offset);  // Roll back the partial full key.
+      ++misses;
+      errs[i] = InvalidEntityKey(ek);
+      continue;
     }
     Probe p;
     p.offset = offset;
@@ -302,7 +400,7 @@ std::vector<StatusOr<Row>> OnlineStore::MultiGet(
     if (is_dup) continue;
     p.hash = h;
     p.index = static_cast<uint32_t>(i);
-    p.shard = static_cast<uint32_t>(h % shards_.size());
+    p.shard = static_cast<uint32_t>(ShardOfHash(h, shards_.size()));
     p.cells = &shards_[p.shard]->cells;
     probes.push_back(p);
     ++shard_counts[p.shard];
@@ -475,7 +573,7 @@ size_t OnlineStore::EvictExpired(Timestamp now) {
     evicted += shard->cells.EraseIf(
         [&](const std::string&, const OnlineCell& cell) {
           if (cell.expires_at > now) return false;
-          shard->approx_bytes -= cell.row.ByteSize();
+          shard->approx_bytes -= cell.bytes;
           return true;
         });
   }
@@ -490,7 +588,7 @@ size_t OnlineStore::DropView(const std::string& view) {
     dropped += shard->cells.EraseIf(
         [&](const std::string& full_key, const OnlineCell& cell) {
           if (full_key.compare(0, prefix.size(), prefix) != 0) return false;
-          shard->approx_bytes -= cell.row.ByteSize();
+          shard->approx_bytes -= cell.bytes;
           return true;
         });
   }
@@ -583,10 +681,11 @@ Status OnlineStore::Restore(std::string_view snapshot) {
       std::lock_guard lock(shard.mu);
       auto [cell, inserted] = shard.cells.Insert(h, full_key, OnlineCell{});
       if (inserted) {
-        shard.approx_bytes += row.ByteSize();
+        const size_t bytes = row.ByteSize();
+        shard.approx_bytes += bytes;
         *cell = OnlineCell{std::move(row), static_cast<Timestamp>(event_time),
                            static_cast<Timestamp>(write_time),
-                           static_cast<Timestamp>(expires_at)};
+                           static_cast<Timestamp>(expires_at), bytes};
       }
     }
   }

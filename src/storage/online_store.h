@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -32,6 +33,17 @@ struct OnlineStoreStats {
   size_t approx_bytes = 0;
 };
 
+/// One row of an OnlineStore::PutBatch: upsert `row` as the cell of
+/// (view, entity_key) at `event_time`.
+struct OnlinePut {
+  Value entity_key;
+  Row row;
+  Timestamp event_time = 0;
+  Timestamp write_time = 0;
+  /// <= 0 selects OnlineStoreOptions::default_ttl.
+  Timestamp ttl = 0;
+};
+
 struct OnlineStoreOptions {
   /// Shards (each with its own lock) for concurrent serving.
   size_t num_shards = 16;
@@ -51,10 +63,10 @@ struct OnlineStoreOptions {
 /// Thread-safe; sharded by key hash. Each shard is guarded by a
 /// std::shared_mutex: readers (Get / MultiGet / GetEventTime / stats /
 /// Snapshot) take shared locks and never serialize against each other,
-/// writers (Put / EvictExpired / DropView / Restore) take exclusive locks.
-/// MultiGet is shard-aware: it hashes every key up front (no per-key
-/// composed-key heap allocation), groups keys by shard, and serves each
-/// shard's keys under a single shared critical section.
+/// writers (PutBatch / EvictExpired / DropView / Restore) take exclusive
+/// locks. MultiGet and PutBatch are shard-aware: they hash every key up
+/// front (no per-key composed-key heap allocation), group keys by shard,
+/// and serve each shard's keys under a single critical section.
 class OnlineStore {
  public:
   explicit OnlineStore(OnlineStoreOptions options = {});
@@ -66,11 +78,23 @@ class OnlineStore {
   bool HasView(const std::string& view) const;
   StatusOr<SchemaPtr> ViewSchema(const std::string& view) const;
 
-  /// Upserts the row for (view, entity_key). Drops the write (counted in
-  /// stats().stale_writes) when an existing cell has a newer event time.
-  /// `ttl` <= 0 selects options.default_ttl.
+  /// Upserts the row for (view, entity_key): a one-row PutBatch. Drops the
+  /// write (counted in stats().stale_writes) when an existing cell has a
+  /// newer event time. `ttl` <= 0 selects options.default_ttl.
   Status Put(const std::string& view, const Value& entity_key, Row row,
              Timestamp event_time, Timestamp write_time, Timestamp ttl = 0);
+
+  /// The store's write path. Equivalent to a loop of Put over `puts` that
+  /// stops at the first failing row: the same cells (in-batch duplicates
+  /// resolve by event-time LWW, the later row winning equal times), the
+  /// same puts / stale_writes / approx_bytes, the same `online_store.put`
+  /// failpoint evaluations (one per row, in input order) and the same
+  /// error. The view and schema are resolved once per batch, keys are
+  /// canonicalized into one arena and grouped by shard, and each touched
+  /// shard's exclusive lock is taken once, one shard at a time — so a
+  /// concurrent reader waits for at most one shard's slice of the batch.
+  /// Rows are moved out of `puts`.
+  Status PutBatch(const std::string& view, std::span<OnlinePut> puts);
 
   /// Latest row for (view, entity_key); NotFound on miss or when the cell
   /// has expired at `now`.
@@ -117,7 +141,7 @@ class OnlineStore {
   };
 
   Shard& ShardFor(uint64_t full_key_hash) const {
-    return *shards_[full_key_hash % shards_.size()];
+    return *shards_[ShardOfHash(full_key_hash, shards_.size())];
   }
   static std::string FullKey(const std::string& view, const std::string& key);
 

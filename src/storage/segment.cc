@@ -1,7 +1,7 @@
 #include "storage/segment.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -29,10 +29,6 @@ uint32_t LoadU32(const unsigned char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
   return v;
-}
-
-void AppendU64(std::string* buf, uint64_t v) {
-  buf->append(reinterpret_cast<const char*>(&v), 8);
 }
 
 void AppendU32(std::string* buf, uint32_t v) {
@@ -95,17 +91,446 @@ ColumnEncoding EncodingFor(FeatureType type) {
 
 }  // namespace
 
-StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
-                                      int64_t partition_id, int entity_idx,
-                                      int time_idx,
-                                      std::span<const Row> rows) {
+/// The one segment encoder. Two feeders fill it in row order — AddRow
+/// from head rows, AddSegment from whole sealed segments — into per-column
+/// pieces (null bitmap, fixed-width cells, varint deltas, dictionary codes
+/// plus a flat interned dictionary, float fences plus floats), and Finish
+/// lays the pieces out in the segment format. Whatever the feeder, the
+/// bytes are those of encoding the decoded rows: null cells hold zero
+/// bits, code 0, an unchanged fence or the previous timestamp, and
+/// dictionaries list strings in first-appearance order.
+class Segment::Builder {
+ public:
+  Builder(const SchemaPtr& schema, size_t num_rows)
+      : schema_(schema), num_rows_(num_rows), cols_(schema->num_fields()) {
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      ColumnBuilder& b = cols_[c];
+      b.type = schema->field(c).type;
+      b.enc = EncodingFor(b.type);
+      b.nulls.assign((num_rows + 7) / 8, 0);
+      switch (b.enc) {
+        case ColumnEncoding::kNullOnly:
+          break;
+        case ColumnEncoding::kRaw64:
+          b.words.reserve(num_rows);
+          break;
+        case ColumnEncoding::kBool:
+          b.bytes.reserve(num_rows);
+          break;
+        case ColumnEncoding::kDeltaTimestamp:
+          b.varints.reserve(num_rows * 3);
+          break;
+        case ColumnEncoding::kDictionary:
+          b.codes.reserve(num_rows);
+          break;
+        case ColumnEncoding::kFloatList:
+          b.words.reserve(num_rows + 1);
+          b.words.push_back(0);  // Fences start at zero.
+          break;
+      }
+    }
+  }
+
+  /// Row feeder: appends one conforming row.
+  Status AddRow(const Row& row, int time_idx) {
+    // A head's rows usually share one schema object: the fields are
+    // compared once per distinct object, not once per row.
+    if (row.schema().get() != verified_schema_) {
+      if (row.schema() == nullptr || !(*row.schema() == *schema_)) {
+        return Status::InvalidArgument("segment rows have mixed schemas");
+      }
+      verified_schema_ = row.schema().get();
+    }
+    const std::vector<Value>& values = row.values();
+    const Value& tv = values[time_idx];
+    if (tv.is_null()) {
+      return Status::InvalidArgument("segment row has null event time");
+    }
+    min_ts_ = std::min(min_ts_, tv.time_value());
+    max_ts_ = std::max(max_ts_, tv.time_value());
+    const size_t r = row_++;
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      ColumnBuilder& b = cols_[c];
+      const Value& v = values[c];
+      if (v.is_null()) {
+        b.PutNull(r);
+        continue;
+      }
+      if (v.type() != b.type) {
+        return Status::InvalidArgument(
+            b.enc == ColumnEncoding::kNullOnly
+                ? "non-null value in a NULL-typed column"
+                : "segment cell does not match its column type");
+      }
+      switch (b.enc) {
+        case ColumnEncoding::kNullOnly:
+          break;  // Unreachable: a kNull value is null.
+        case ColumnEncoding::kRaw64: {
+          uint64_t bits;
+          if (b.type == FeatureType::kInt64) {
+            bits = static_cast<uint64_t>(v.int64_value());
+          } else {
+            const double d = v.double_value();
+            std::memcpy(&bits, &d, 8);
+          }
+          b.words.push_back(bits);
+          break;
+        }
+        case ColumnEncoding::kBool:
+          b.bytes.push_back(v.bool_value() ? 1 : 0);
+          break;
+        case ColumnEncoding::kDeltaTimestamp:
+          b.PutTime(v.time_value());
+          break;
+        case ColumnEncoding::kDictionary:
+          b.codes.push_back(b.dict.Intern(v.string_value()));
+          break;
+        case ColumnEncoding::kFloatList: {
+          const std::vector<float>& e = v.embedding_value();
+          b.floats.append(reinterpret_cast<const char*>(e.data()),
+                          e.size() * sizeof(float));
+          b.words.push_back(b.words.back() + e.size());
+          break;
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Segment feeder: appends every row of a sealed segment (resident or
+  /// spilled) column to column, without building a Row.
+  Status AddSegment(const Segment& seg) {
+    if (!(*seg.schema_ == *schema_)) {
+      return Status::InvalidArgument("merged segments have mixed schemas");
+    }
+    const size_t m = seg.num_rows_;
+    const size_t base = row_;
+    const Column& tcol = seg.cols_[seg.time_idx_];
+    if (tcol.nulls != nullptr) {
+      for (size_t r = 0; r < m; ++r) {
+        if (seg.NullBit(tcol, r)) {
+          return Status::InvalidArgument("segment row has null event time");
+        }
+      }
+    }
+    min_ts_ = std::min(min_ts_, seg.min_ts_);
+    max_ts_ = std::max(max_ts_, seg.max_ts_);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      ColumnBuilder& b = cols_[c];
+      const Column& in = seg.cols_[c];
+      const bool has_nulls =
+          in.nulls != nullptr && OrBits(in.nulls, m, base, &b.nulls);
+      b.has_nulls |= has_nulls;
+      auto is_null = [&](size_t r) { return has_nulls && seg.NullBit(in, r); };
+      switch (b.enc) {
+        case ColumnEncoding::kNullOnly:
+          break;  // Parse guarantees every bit is set.
+        case ColumnEncoding::kRaw64: {
+          const size_t at = b.words.size();
+          b.words.resize(at + m);
+          std::memcpy(b.words.data() + at, in.data, 8 * m);
+          if (has_nulls) {
+            for (size_t r = 0; r < m; ++r) {
+              if (seg.NullBit(in, r)) b.words[at + r] = 0;
+            }
+          }
+          break;
+        }
+        case ColumnEncoding::kBool: {
+          const size_t at = b.bytes.size();
+          b.bytes.insert(b.bytes.end(), in.data, in.data + m);
+          if (has_nulls) {
+            for (size_t r = 0; r < m; ++r) {
+              if (seg.NullBit(in, r)) b.bytes[at + r] = 0;
+            }
+          }
+          break;
+        }
+        case ColumnEncoding::kDeltaTimestamp: {
+          // Re-delta from the resident decoded stream; a null cell repeats
+          // the previous value of the merged stream, not of its source.
+          const std::vector<Timestamp>& ts = seg.delta_cols_[c];
+          for (size_t r = 0; r < m; ++r) {
+            b.PutTime(is_null(r) ? b.prev : ts[r]);
+          }
+          break;
+        }
+        case ColumnEncoding::kDictionary: {
+          // Source codes are remapped on first sight, so the merged
+          // dictionary keeps first-appearance order over the merged rows.
+          constexpr uint32_t kUnmapped = UINT32_MAX;
+          remap_.assign(in.dict_count, kUnmapped);
+          for (size_t r = 0; r < m; ++r) {
+            if (is_null(r)) {
+              b.codes.push_back(0);
+              continue;
+            }
+            const uint32_t code = LoadU32(in.codes + 4 * r);
+            uint32_t& to = remap_[code];
+            if (to == kUnmapped) {
+              const uint32_t beg = LoadU32(in.dict_offsets + 4 * code);
+              const uint32_t end = LoadU32(in.dict_offsets + 4 * (code + 1));
+              to = b.dict.Intern(std::string_view(
+                  reinterpret_cast<const char*>(in.dict_blob) + beg,
+                  end - beg));
+            }
+            b.codes.push_back(to);
+          }
+          break;
+        }
+        case ColumnEncoding::kFloatList: {
+          const uint64_t fence_base = b.words.back();
+          if (!has_nulls) {
+            // Rebase the fences; the float blob is already contiguous.
+            for (size_t r = 1; r <= m; ++r) {
+              b.words.push_back(fence_base + LoadU64(in.fences + 8 * r));
+            }
+            b.floats.append(reinterpret_cast<const char*>(in.floats),
+                            4 * LoadU64(in.fences + 8 * m));
+            break;
+          }
+          for (size_t r = 0; r < m; ++r) {
+            uint64_t fence = b.words.back();
+            if (!seg.NullBit(in, r)) {
+              const uint64_t beg = LoadU64(in.fences + 8 * r);
+              const uint64_t end = LoadU64(in.fences + 8 * r + 8);
+              b.floats.append(
+                  reinterpret_cast<const char*>(in.floats + 4 * beg),
+                  4 * (end - beg));
+              fence += end - beg;
+            }
+            b.words.push_back(fence);
+          }
+          break;
+        }
+      }
+    }
+    row_ += m;
+    return Status::OK();
+  }
+
+  /// Lays the columns out behind the header and seals the envelope.
+  StatusOr<std::string> Finish(int64_t partition_id, int entity_idx,
+                               int time_idx) {
+    MLFS_DCHECK(row_ == num_rows_);
+    const size_t ncols = cols_.size();
+    std::vector<std::vector<std::string_view>> pieces(ncols);
+    std::vector<std::string> dict_fixed(ncols);  // Count, codes, offsets.
+    for (size_t c = 0; c < ncols; ++c) {
+      ColumnBuilder& b = cols_[c];
+      std::vector<std::string_view>& p = pieces[c];
+      static constexpr char kHasNulls[2] = {0, 1};
+      p.push_back(std::string_view(&kHasNulls[b.has_nulls ? 1 : 0], 1));
+      if (b.has_nulls) p.push_back(Bytes(b.nulls.data(), b.nulls.size()));
+      switch (b.enc) {
+        case ColumnEncoding::kNullOnly:
+          break;
+        case ColumnEncoding::kRaw64:
+          p.push_back(Bytes(b.words.data(), 8 * b.words.size()));
+          break;
+        case ColumnEncoding::kFloatList:
+          p.push_back(Bytes(b.words.data(), 8 * b.words.size()));
+          p.push_back(b.floats);
+          break;
+        case ColumnEncoding::kBool:
+          p.push_back(Bytes(b.bytes.data(), b.bytes.size()));
+          break;
+        case ColumnEncoding::kDeltaTimestamp:
+          p.push_back(b.varints);
+          break;
+        case ColumnEncoding::kDictionary: {
+          if (b.dict.overflow()) {
+            return Status::InvalidArgument("dictionary blob exceeds 4 GiB");
+          }
+          std::string& fixed = dict_fixed[c];
+          const std::vector<uint32_t>& offsets = b.dict.offsets();
+          AppendU32(&fixed, static_cast<uint32_t>(offsets.size() - 1));
+          p.push_back(fixed);
+          p.push_back(Bytes(b.codes.data(), 4 * b.codes.size()));
+          p.push_back(Bytes(offsets.data(), 4 * offsets.size()));
+          p.push_back(b.dict.blob());
+          break;
+        }
+      }
+    }
+    Encoder header;
+    header.PutFixed64(static_cast<uint64_t>(partition_id));
+    header.PutVarint64(static_cast<uint64_t>(entity_idx));
+    header.PutVarint64(static_cast<uint64_t>(time_idx));
+    header.PutSchema(*schema_);
+    header.PutVarint64(num_rows_);
+    header.PutFixed64(static_cast<uint64_t>(min_ts_));
+    header.PutFixed64(static_cast<uint64_t>(max_ts_));
+    header.PutVarint64(ncols);
+    size_t total = 0;
+    for (size_t c = 0; c < ncols; ++c) {
+      // A column's checksum is FNV-1a over its section; chaining the hash
+      // through the pieces equals hashing them concatenated.
+      uint64_t hash = HashBytes("");
+      size_t len = 0;
+      for (std::string_view piece : pieces[c]) {
+        hash = Fnv1a64(piece.data(), piece.size(), hash);
+        len += piece.size();
+      }
+      header.PutU8(static_cast<uint8_t>(cols_[c].enc));
+      header.PutFixed64(hash);
+      header.PutVarint64(len);
+      total += len;
+    }
+    std::string body = header.Release();
+    body.reserve(body.size() + total);
+    for (const std::vector<std::string_view>& p : pieces) {
+      for (std::string_view piece : p) body.append(piece);
+    }
+    // The envelope trailer is Fnv1a64(body), the same checksum the
+    // pre-BlockFile format wrote, so the blob bytes are unchanged.
+    return BlockFile::Seal(kSegmentMagic, kSegmentVersion, body);
+  }
+
+ private:
+  /// Interns strings into one flat blob in first-appearance order, behind
+  /// an open-addressing table of codes (no node or string per entry).
+  class Dictionary {
+   public:
+    Dictionary() : offsets_{0} {}
+
+    uint32_t Intern(std::string_view s) {
+      if (slots_.empty() || 2 * (hashes_.size() + 1) > slots_.size()) {
+        Grow();
+      }
+      const uint64_t h = FastHash64(s.data(), s.size());
+      const size_t mask = slots_.size() - 1;
+      for (size_t i = h & mask;; i = (i + 1) & mask) {
+        const uint32_t slot = slots_[i];
+        if (slot == 0) {
+          const uint32_t code = static_cast<uint32_t>(hashes_.size());
+          slots_[i] = code + 1;
+          hashes_.push_back(h);
+          if (s.size() > UINT32_MAX - blob_.size()) overflow_ = true;
+          blob_.append(s);
+          offsets_.push_back(static_cast<uint32_t>(blob_.size()));
+          return code;
+        }
+        const uint32_t code = slot - 1;
+        if (hashes_[code] == h && Get(code) == s) return code;
+      }
+    }
+
+    const std::string& blob() const { return blob_; }
+    const std::vector<uint32_t>& offsets() const { return offsets_; }
+    bool overflow() const { return overflow_; }
+
+   private:
+    std::string_view Get(uint32_t code) const {
+      return std::string_view(blob_).substr(
+          offsets_[code], offsets_[code + 1] - offsets_[code]);
+    }
+
+    void Grow() {
+      const size_t cap = slots_.empty() ? 64 : slots_.size() * 2;
+      slots_.assign(cap, 0);
+      const size_t mask = cap - 1;
+      for (uint32_t code = 0; code < hashes_.size(); ++code) {
+        size_t i = hashes_[code] & mask;
+        while (slots_[i] != 0) i = (i + 1) & mask;
+        slots_[i] = code + 1;
+      }
+    }
+
+    std::string blob_;
+    std::vector<uint32_t> offsets_;  // Code fences into blob_.
+    std::vector<uint64_t> hashes_;   // Per code.
+    std::vector<uint32_t> slots_;    // code + 1; 0 is empty.
+    bool overflow_ = false;
+  };
+
+  struct ColumnBuilder {
+    FeatureType type = FeatureType::kNull;
+    ColumnEncoding enc = ColumnEncoding::kNullOnly;
+    bool has_nulls = false;
+    std::vector<uint8_t> nulls;   // Bitmap over every row.
+    std::vector<uint64_t> words;  // kRaw64 bits, or kFloatList fences.
+    std::vector<uint8_t> bytes;   // kBool.
+    std::string varints;          // kDeltaTimestamp zigzag deltas.
+    Timestamp prev = 0;           // kDeltaTimestamp previous value.
+    std::vector<uint32_t> codes;  // kDictionary.
+    Dictionary dict;              // kDictionary.
+    std::string floats;           // kFloatList.
+
+    void PutTime(Timestamp t) {
+      AppendVarint(&varints, ZigzagEncode(t - prev));
+      prev = t;
+    }
+
+    void PutNull(size_t r) {
+      has_nulls = true;
+      nulls[r >> 3] |= static_cast<uint8_t>(1u << (r & 7));
+      switch (enc) {
+        case ColumnEncoding::kNullOnly:
+          break;
+        case ColumnEncoding::kRaw64:
+          words.push_back(0);
+          break;
+        case ColumnEncoding::kBool:
+          bytes.push_back(0);
+          break;
+        case ColumnEncoding::kDeltaTimestamp:
+          PutTime(prev);
+          break;
+        case ColumnEncoding::kDictionary:
+          codes.push_back(0);
+          break;
+        case ColumnEncoding::kFloatList:
+          words.push_back(words.back());
+          break;
+      }
+    }
+  };
+
+  static std::string_view Bytes(const void* p, size_t n) {
+    return std::string_view(static_cast<const char*>(p), n);
+  }
+
+  /// ORs the first `nbits` bits of `src` into `dst` starting at bit `at`,
+  /// a byte at a time; returns whether any of them was set.
+  static bool OrBits(const unsigned char* src, size_t nbits, size_t at,
+                     std::vector<uint8_t>* dst) {
+    const size_t shift = at & 7;
+    uint8_t* out = dst->data() + (at >> 3);
+    unsigned any = 0;
+    for (size_t j = 0; j < (nbits + 7) / 8; ++j) {
+      unsigned byte = src[j];
+      if (j == nbits / 8) byte &= (1u << (nbits & 7)) - 1;  // Tail bits.
+      any |= byte;
+      out[j] |= static_cast<uint8_t>(byte << shift);
+      if (shift != 0 && (byte >> (8 - shift)) != 0) {
+        out[j + 1] |= static_cast<uint8_t>(byte >> (8 - shift));
+      }
+    }
+    return any != 0;
+  }
+
+  SchemaPtr schema_;
+  const Schema* verified_schema_ = schema_.get();  // Last equal row schema.
+  size_t num_rows_;
+  size_t row_ = 0;
+  Timestamp min_ts_ = kMaxTimestamp;
+  Timestamp max_ts_ = kMinTimestamp;
+  std::vector<ColumnBuilder> cols_;
+  std::vector<uint32_t> remap_;  // AddSegment's dictionary code remap.
+};
+
+namespace {
+
+/// Shared argument checks of both feeders.
+Status CheckEncodeArgs(const SchemaPtr& schema, int entity_idx, int time_idx,
+                       size_t num_rows) {
   if (schema == nullptr) {
     return Status::InvalidArgument("segment needs a schema");
   }
-  if (rows.empty()) {
+  if (num_rows == 0) {
     return Status::InvalidArgument("cannot seal an empty segment");
   }
-  const size_t n = rows.size();
   const size_t ncols = schema->num_fields();
   if (entity_idx < 0 || static_cast<size_t>(entity_idx) >= ncols ||
       time_idx < 0 || static_cast<size_t>(time_idx) >= ncols) {
@@ -114,155 +539,40 @@ StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
   if (schema->field(time_idx).type != FeatureType::kTimestamp) {
     return Status::InvalidArgument("segment time column is not a timestamp");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<std::string> Segment::Encode(const SchemaPtr& schema,
+                                      int64_t partition_id, int entity_idx,
+                                      int time_idx,
+                                      std::span<const Row> rows) {
+  MLFS_RETURN_IF_ERROR(
+      CheckEncodeArgs(schema, entity_idx, time_idx, rows.size()));
+  Builder builder(schema, rows.size());
   for (const Row& row : rows) {
-    if (row.schema() == nullptr || !(*row.schema() == *schema)) {
-      return Status::InvalidArgument("segment rows have mixed schemas");
-    }
+    MLFS_RETURN_IF_ERROR(builder.AddRow(row, time_idx));
   }
-  Timestamp min_ts = kMaxTimestamp;
-  Timestamp max_ts = kMinTimestamp;
-  for (const Row& row : rows) {
-    const Value& tv = row.value(time_idx);
-    if (tv.is_null()) {
-      return Status::InvalidArgument("segment row has null event time");
-    }
-    min_ts = std::min(min_ts, tv.time_value());
-    max_ts = std::max(max_ts, tv.time_value());
-  }
+  return builder.Finish(partition_id, entity_idx, time_idx);
+}
 
-  std::vector<std::string> col_bufs(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    const FeatureType type = schema->field(c).type;
-    const ColumnEncoding enc = EncodingFor(type);
-    std::string& buf = col_bufs[c];
-    bool has_nulls = false;
-    for (const Row& row : rows) {
-      if (row.value(c).is_null()) {
-        has_nulls = true;
-        break;
-      }
+StatusOr<std::string> Segment::Merge(
+    const SchemaPtr& schema, int64_t partition_id, int entity_idx,
+    int time_idx, std::span<const std::shared_ptr<const Segment>> segments) {
+  size_t total = 0;
+  for (const auto& seg : segments) total += seg->num_rows();
+  MLFS_RETURN_IF_ERROR(CheckEncodeArgs(schema, entity_idx, time_idx, total));
+  Builder builder(schema, total);
+  for (const auto& seg : segments) {
+    if (seg->partition_id() != partition_id ||
+        seg->entity_idx() != entity_idx || seg->time_idx() != time_idx) {
+      return Status::InvalidArgument(
+          "merged segments differ in partition or key/time columns");
     }
-    buf.push_back(has_nulls ? 1 : 0);
-    if (has_nulls) {
-      std::string bitmap((n + 7) / 8, '\0');
-      for (size_t r = 0; r < n; ++r) {
-        if (rows[r].value(c).is_null()) {
-          bitmap[r >> 3] |= static_cast<char>(1u << (r & 7));
-        }
-      }
-      buf.append(bitmap);
-    }
-    switch (enc) {
-      case ColumnEncoding::kNullOnly:
-        for (size_t r = 0; r < n; ++r) {
-          if (!rows[r].value(c).is_null()) {
-            return Status::InvalidArgument(
-                "non-null value in a NULL-typed column");
-          }
-        }
-        break;
-      case ColumnEncoding::kRaw64:
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          uint64_t bits = 0;
-          if (!v.is_null()) {
-            if (type == FeatureType::kInt64) {
-              bits = static_cast<uint64_t>(v.int64_value());
-            } else {
-              double d = v.double_value();
-              std::memcpy(&bits, &d, 8);
-            }
-          }
-          AppendU64(&buf, bits);
-        }
-        break;
-      case ColumnEncoding::kBool:
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          buf.push_back(!v.is_null() && v.bool_value() ? 1 : 0);
-        }
-        break;
-      case ColumnEncoding::kDeltaTimestamp: {
-        // Null cells repeat the previous value (delta 0); the bitmap is
-        // what makes them NULL on read.
-        Timestamp prev = 0;
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          Timestamp t = v.is_null() ? prev : v.time_value();
-          AppendVarint(&buf, ZigzagEncode(t - prev));
-          prev = t;
-        }
-        break;
-      }
-      case ColumnEncoding::kDictionary: {
-        // Dictionary in first-appearance order; null cells take code 0.
-        std::unordered_map<std::string_view, uint32_t> dict;
-        std::vector<std::string_view> dict_order;
-        std::vector<uint32_t> codes(n, 0);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          if (v.is_null()) continue;
-          std::string_view s = v.string_value();
-          auto [it, inserted] =
-              dict.emplace(s, static_cast<uint32_t>(dict_order.size()));
-          if (inserted) dict_order.push_back(s);
-          codes[r] = it->second;
-        }
-        AppendU32(&buf, static_cast<uint32_t>(dict_order.size()));
-        for (uint32_t code : codes) AppendU32(&buf, code);
-        uint32_t offset = 0;
-        AppendU32(&buf, 0);
-        for (std::string_view s : dict_order) {
-          if (s.size() > UINT32_MAX - offset) {
-            return Status::InvalidArgument("dictionary blob exceeds 4 GiB");
-          }
-          offset += static_cast<uint32_t>(s.size());
-          AppendU32(&buf, offset);
-        }
-        for (std::string_view s : dict_order) buf.append(s);
-        break;
-      }
-      case ColumnEncoding::kFloatList: {
-        uint64_t fence = 0;
-        AppendU64(&buf, 0);
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          if (!v.is_null()) fence += v.embedding_value().size();
-          AppendU64(&buf, fence);
-        }
-        for (size_t r = 0; r < n; ++r) {
-          const Value& v = rows[r].value(c);
-          if (v.is_null()) continue;
-          const std::vector<float>& e = v.embedding_value();
-          buf.append(reinterpret_cast<const char*>(e.data()),
-                     e.size() * sizeof(float));
-        }
-        break;
-      }
-    }
+    MLFS_RETURN_IF_ERROR(builder.AddSegment(*seg));
   }
-
-  Encoder header;
-  header.PutFixed64(static_cast<uint64_t>(partition_id));
-  header.PutVarint64(static_cast<uint64_t>(entity_idx));
-  header.PutVarint64(static_cast<uint64_t>(time_idx));
-  header.PutSchema(*schema);
-  header.PutVarint64(n);
-  header.PutFixed64(static_cast<uint64_t>(min_ts));
-  header.PutFixed64(static_cast<uint64_t>(max_ts));
-  header.PutVarint64(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    header.PutU8(static_cast<uint8_t>(EncodingFor(schema->field(c).type)));
-    header.PutFixed64(HashBytes(col_bufs[c]));
-    header.PutVarint64(col_bufs[c].size());
-  }
-
-  std::string body = header.Release();
-  for (const std::string& buf : col_bufs) body.append(buf);
-  // HashBytes(body) with the default seed is Fnv1a64(body) — exactly the
-  // envelope trailer Seal writes, so the blob bytes are unchanged from the
-  // pre-BlockFile format.
-  return BlockFile::Seal(kSegmentMagic, kSegmentVersion, body);
+  return builder.Finish(partition_id, entity_idx, time_idx);
 }
 
 Status Segment::Parse() {

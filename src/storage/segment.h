@@ -63,12 +63,22 @@ enum class ColumnEncoding : uint8_t {
 class Segment {
  public:
   /// Encodes `rows` (all conforming to `schema`, all in partition
-  /// `partition_id`) into a self-contained blob. Row order is preserved:
+  /// `partition_id`) into a self-contained blob, in one row-major pass.
+  /// Row order is preserved:
   /// row i of the segment is rows[i], which is what keeps the offline
   /// store's append-order tie-break stable across seals and compactions.
   static StatusOr<std::string> Encode(const SchemaPtr& schema,
                                       int64_t partition_id, int entity_idx,
                                       int time_idx, std::span<const Row> rows);
+
+  /// Encodes the rows of `segments` (in order; resident or spilled, all
+  /// with `schema` and the given partition and entity/time columns) into
+  /// one blob, byte-identical to Encode over their decoded rows. Built
+  /// column to column straight off the encoded buffers: no Row is made.
+  /// This is compaction's merge.
+  static StatusOr<std::string> Merge(
+      const SchemaPtr& schema, int64_t partition_id, int entity_idx,
+      int time_idx, std::span<const std::shared_ptr<const Segment>> segments);
 
   /// Parses and validates a blob held in RAM (the resident tier).
   static StatusOr<std::shared_ptr<const Segment>> FromBytes(std::string bytes);
@@ -131,6 +141,9 @@ class Segment {
                   ColumnVector* out) const;
 
  private:
+  /// The one encoder behind Encode (fed rows) and Merge (fed segments).
+  class Builder;
+
   struct Column {
     ColumnEncoding enc = ColumnEncoding::kNullOnly;
     const unsigned char* nulls = nullptr;  // Bitmap, or null when no nulls.

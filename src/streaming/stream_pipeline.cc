@@ -80,24 +80,51 @@ Status StreamPipeline::MaterializeReady() {
   MLFS_FAILPOINT("stream_pipeline.materialize");
   MLFS_ASSIGN_OR_RETURN(OfflineTable* table,
                         offline_->GetTable(options_.name));
+  // Polled windows join the pending queue before anything is written, so
+  // a failed write loses none of them: they are retried by the next
+  // Ingest, IngestBatch or Flush.
+  Status build_status;
   for (WindowResult& result : aggregator_->PollResults()) {
     Value entity = entity_type_ == FeatureType::kInt64
                        ? Value::Int64(std::stoll(result.entity_key))
                        : Value::String(result.entity_key);
     std::vector<Value> values;
     values.reserve(2 + result.values.size());
-    values.push_back(entity);
+    values.push_back(std::move(entity));
     values.push_back(Value::Time(result.window_end));
     for (Value& v : result.values) values.push_back(std::move(v));
-    MLFS_ASSIGN_OR_RETURN(Row row,
-                          Row::Create(output_schema_, std::move(values)));
-    MLFS_RETURN_IF_ERROR(online_->Put(options_.name, entity, row,
-                                      result.window_end, result.window_end,
-                                      options_.online_ttl));
-    MLFS_RETURN_IF_ERROR(table->Append(row));
-    ++rows_emitted_;
+    StatusOr<Row> row = Row::Create(output_schema_, std::move(values));
+    if (!row.ok()) {
+      // A row that cannot be built can never be written; report it and
+      // keep the rest of the poll.
+      if (build_status.ok()) build_status = row.status();
+      continue;
+    }
+    pending_.push_back(*std::move(row));
   }
-  return Status::OK();
+  if (pending_.empty()) return build_status;
+  // Online first, then offline. Re-putting a window is idempotent under
+  // event-time LWW, so a retry after a failed PutBatch rewrites the same
+  // cells; the log is appended only once every pending window is online,
+  // and AppendBatch fails (at its failpoint) before appending any row, so
+  // a retry never logs a window twice.
+  if (pending_online_ < pending_.size()) {
+    std::vector<OnlinePut> puts;
+    puts.reserve(pending_.size() - pending_online_);
+    for (size_t i = pending_online_; i < pending_.size(); ++i) {
+      const Row& row = pending_[i];
+      const Timestamp window_end = row.value(1).time_value();
+      puts.push_back(OnlinePut{row.value(0), row, window_end, window_end,
+                               options_.online_ttl});
+    }
+    MLFS_RETURN_IF_ERROR(online_->PutBatch(options_.name, puts));
+    pending_online_ = pending_.size();
+  }
+  MLFS_RETURN_IF_ERROR(table->AppendBatch(pending_));
+  rows_emitted_ += pending_.size();
+  pending_.clear();
+  pending_online_ = 0;
+  return build_status;
 }
 
 }  // namespace mlfs

@@ -35,7 +35,11 @@ struct StreamPipelineOptions {
 /// the online store and logged to the offline store").
 ///
 /// The output schema is {entity, "event_time", <one column per agg>};
-/// each finalized window emits one row stamped with the window end.
+/// each finalized window emits one row stamped with the window end. A
+/// poll's windows are written with one online PutBatch and one offline
+/// AppendBatch; windows a failed write left unwritten stay queued and are
+/// retried by the next Ingest / IngestBatch / Flush, so a write fault
+/// delays a window but never drops or double-logs it.
 class StreamPipeline {
  public:
   /// Builds the aggregator, registers the online view and offline table.
@@ -77,6 +81,11 @@ class StreamPipeline {
   OfflineStore* offline_;  // Not owned.
   uint64_t events_ingested_ = 0;
   uint64_t rows_emitted_ = 0;
+  // Finalized windows polled from the aggregator but not yet in both
+  // stores, in emission order; the first `pending_online_` of them are
+  // already in the online store.
+  std::vector<Row> pending_;
+  size_t pending_online_ = 0;
 };
 
 }  // namespace mlfs

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/schema.h"
 #include "common/value.h"
 
@@ -208,6 +209,37 @@ TEST(CellMapTest, FindFromContinuesPastHashTagFalsePositive) {
   EXPECT_EQ(map.FindFrom(cand, 7, "first")->row.value(0).double_value(), 1.0);
   EXPECT_EQ(map.FindFrom(cand, 7, "second")->row.value(0).double_value(), 2.0);
   EXPECT_EQ(map.FindFrom(cand, 7, "third"), nullptr);
+}
+
+// The shard comes from a hash's high bits and the home slot from its low
+// bits. Were both taken from the same bits, the keys of one shard would all
+// share their low bits and crowd 1/16 of a table's home slots.
+TEST(CellMapTest, ShardAndHomeSlotBitsAreDisjoint) {
+  constexpr size_t kShards = 16;
+  Rng rng(0x5a4d);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t h = rng.Next();
+    // Flipping any low 32 bits never moves a key to another shard.
+    EXPECT_EQ(ShardOfHash(h ^ (rng.Next() & 0xffffffffu), kShards),
+              ShardOfHash(h, kShards));
+    EXPECT_LT(ShardOfHash(h, kShards), kShards);
+  }
+  // The keys of one shard spread over a table's home slots as freely as
+  // unsharded keys would.
+  CellMap map;
+  std::vector<uint64_t> hashes;
+  for (int k = 0; hashes.size() < 1500; ++k) {
+    const std::string key = "entity_" + std::to_string(k);
+    const uint64_t h = FastHash64(key.data(), key.size());
+    if (ShardOfHash(h, kShards) != 3) continue;
+    hashes.push_back(h);
+    map.Insert(h, key, MakeCell(1.0));
+  }
+  std::set<size_t> home_slots;
+  for (uint64_t h : hashes) home_slots.insert(map.HomeSlot(h));
+  // 1500 keys in 2048 slots fill about 1070 distinct home slots at random;
+  // keys sharing their low 4 bits could reach at most 2048 / 16 = 128.
+  EXPECT_GT(home_slots.size(), map.capacity() / 3);
 }
 
 }  // namespace

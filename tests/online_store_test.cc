@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 
 namespace mlfs {
@@ -426,6 +428,132 @@ TEST_F(OnlineStoreTest, ConcurrentOlderWritesAgainstSeededNewestAllStale) {
   auto s = store_.stats();
   EXPECT_EQ(s.stale_writes,
             static_cast<uint64_t>(kThreads) * kWritesPerThread);
+}
+
+// The loop PutBatch must reproduce: Put row by row, stopping at the first
+// failure.
+Status PutLoop(OnlineStore& store, const std::string& view,
+               std::vector<OnlinePut> puts) {
+  for (OnlinePut& p : puts) {
+    Status s = store.Put(view, p.entity_key, std::move(p.row), p.event_time,
+                         p.write_time, p.ttl);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+// PutBatch against a loop of Put on twin stores: in-batch duplicate keys,
+// stale writes, TTLs (explicit and default), unknown views, rows of the
+// wrong schema, invalid key types, and a failpoint firing mid-batch. The
+// returned Status, every counter, approx_bytes, the failpoint's
+// evaluation count, each cell and the whole snapshot must match.
+TEST_F(OnlineStoreTest, PutBatchMatchesPutLoopOnRandomWorkloads) {
+  const SchemaPtr other = Schema::Create({{"x", FeatureType::kBool, true}})
+                              .value();
+  Rng rng(4242);
+  for (int round = 0; round < 200; ++round) {
+    OnlineStoreOptions opt;
+    opt.num_shards = 1 + rng.Uniform(24);
+    opt.default_ttl = rng.Uniform(3) == 0 ? Hours(2) : 0;
+    OnlineStore batched(opt);
+    OnlineStore looped(opt);
+    for (OnlineStore* store : {&batched, &looped}) {
+      ASSERT_TRUE(store->CreateView("v", schema_).ok());
+    }
+    const int64_t key_space = 1 + static_cast<int64_t>(rng.Uniform(30));
+    auto random_put = [&]() {
+      const int64_t k = static_cast<int64_t>(rng.Uniform(key_space));
+      OnlinePut p;
+      p.entity_key = rng.Uniform(3) == 0
+                         ? Value::String("s" + std::to_string(k))
+                         : Value::Int64(k);
+      p.row = MakeRow(schema_, k, static_cast<double>(rng.Uniform(100)));
+      p.event_time = Hours(1 + rng.Uniform(8));  // Ties are common.
+      p.write_time = p.event_time + Minutes(rng.Uniform(90));
+      p.ttl = rng.Uniform(4) == 0 ? Hours(1 + rng.Uniform(3)) : 0;
+      return p;
+    };
+    // Identical pre-existing cells, so some batch rows are stale.
+    std::vector<OnlinePut> seed;
+    for (uint64_t i = rng.Uniform(20); i > 0; --i) seed.push_back(random_put());
+    ASSERT_TRUE(PutLoop(looped, "v", seed).ok());
+    ASSERT_TRUE(batched.PutBatch("v", seed).ok());
+
+    std::vector<OnlinePut> batch;
+    for (uint64_t i = rng.Uniform(60); i > 0; --i) {
+      OnlinePut p = random_put();
+      switch (rng.Uniform(40)) {
+        case 0:
+          p.row = Row::CreateUnsafe(other, {Value::Bool(true)});
+          break;
+        case 1:
+          p.entity_key = Value::Double(0.5);
+          break;
+        default:
+          break;
+      }
+      batch.push_back(std::move(p));
+    }
+    const std::string view = rng.Uniform(15) == 0 ? "unknown" : "v";
+    std::optional<FailpointConfig> fault;
+    if (rng.Uniform(4) == 0) {
+      FailpointConfig config;
+      config.status = Status::Internal("injected put fault");
+      config.skip_first = rng.Uniform(batch.size() + 1);
+      config.max_fires = 1;
+      fault = config;
+    }
+    auto run = [&](auto&& write) {
+      if (fault) FailpointRegistry::Instance().Arm("online_store.put", *fault);
+      const Status s = write();
+      const uint64_t evaluations =
+          FailpointRegistry::Instance().stats("online_store.put").evaluations;
+      FailpointRegistry::Instance().DisarmAll();
+      return std::make_pair(s, evaluations);
+    };
+    const auto [loop_status, loop_evals] =
+        run([&] { return PutLoop(looped, view, batch); });
+    const auto [batch_status, batch_evals] =
+        run([&] { return batched.PutBatch(view, batch); });
+
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(batch_status.code(), loop_status.code());
+    EXPECT_EQ(batch_status.message(), loop_status.message());
+    if (fault) {
+      EXPECT_EQ(batch_evals, loop_evals);
+    }
+    const OnlineStoreStats a = batched.stats();
+    const OnlineStoreStats b = looped.stats();
+    EXPECT_EQ(a.puts, b.puts);
+    EXPECT_EQ(a.stale_writes, b.stale_writes);
+    EXPECT_EQ(a.num_cells, b.num_cells);
+    EXPECT_EQ(a.approx_bytes, b.approx_bytes);
+    for (int64_t k = 0; k < key_space; ++k) {
+      for (const Value& key :
+           {Value::Int64(k), Value::String("s" + std::to_string(k))}) {
+        for (Timestamp now : {Hours(2), Hours(20)}) {
+          auto x = batched.Get("v", key, now);
+          auto y = looped.Get("v", key, now);
+          ASSERT_EQ(x.ok(), y.ok()) << key.ToString();
+          if (x.ok()) {
+            EXPECT_EQ(*x, *y) << key.ToString();
+          }
+          auto ex = batched.GetEventTime("v", key, now);
+          auto ey = looped.GetEventTime("v", key, now);
+          ASSERT_EQ(ex.ok(), ey.ok());
+          if (ex.ok()) {
+            EXPECT_EQ(*ex, *ey);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(batched.Snapshot(), looped.Snapshot());
+  }
+}
+
+TEST_F(OnlineStoreTest, PutBatchEmptyIsANoOp) {
+  EXPECT_TRUE(store_.PutBatch("no_such_view", {}).ok());
+  EXPECT_EQ(store_.stats().puts, 0u);
 }
 
 }  // namespace

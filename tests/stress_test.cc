@@ -529,6 +529,175 @@ TEST_F(StressTest, StreamPipelineMaterializationSurvivesFaults) {
   EXPECT_EQ(online_rows, static_cast<uint64_t>(kUsers));
 }
 
+// Write faults on both stores while windows finalize: online_store.put and
+// offline_store.append fail at random, so PutBatch stops mid-batch and
+// AppendBatch fails after the online write succeeded. Unwritten windows
+// must stay queued: after the drain every finalized window reached the log
+// exactly once, with the oracle's count, and the online store serves each
+// user's latest window.
+TEST_F(StressTest, StreamPipelineWriteFaultsLoseNoWindow) {
+  OnlineStore online;
+  OfflineStore offline;
+  StreamPipelineOptions opt;
+  opt.name = "clicks_1h";
+  opt.event_schema =
+      Schema::Create({{"user", FeatureType::kInt64, false},
+                      {"ts", FeatureType::kTimestamp, false},
+                      {"amount", FeatureType::kDouble, true}})
+          .value();
+  opt.entity_column = "user";
+  opt.time_column = "ts";
+  opt.window = {Hours(1), Hours(1)};
+  opt.aggs = {{"click_count", AggregateFn::kCount, ""}};
+  auto pipeline = StreamPipeline::Create(opt, &online, &offline);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+
+  constexpr int kEvents = 6000;
+  constexpr int64_t kUsers = 16;
+  std::map<std::pair<int64_t, Timestamp>, int64_t> windows;  // -> count.
+  {
+    FailpointConfig put_faults;
+    put_faults.status = Status::Internal("injected put fault");
+    put_faults.probability = 0.05;
+    ScopedFailpoint put_fp("online_store.put", put_faults);
+    FailpointConfig append_faults;
+    append_faults.status = Status::Internal("injected append fault");
+    append_faults.probability = 0.3;
+    ScopedFailpoint append_fp("offline_store.append", append_faults);
+    Rng rng(1234);
+    for (int i = 0; i < kEvents; ++i) {
+      const Timestamp ts = Minutes(1 + i);
+      const int64_t user = static_cast<int64_t>(rng.Uniform(kUsers));
+      ++windows[{user, ts - ts % Hours(1) + Hours(1)}];
+      Status s = (*pipeline)->Ingest(Row::CreateUnsafe(
+          opt.event_schema,
+          {Value::Int64(user), Value::Time(ts), Value::Double(1.0)}));
+      if (!s.ok()) {
+        ASSERT_EQ(s.code(), StatusCode::kInternal) << s;
+      }
+    }
+    EXPECT_GT(put_fp.stats().fires, 0u);
+    EXPECT_GT(append_fp.stats().fires, 0u);
+  }
+  ASSERT_TRUE((*pipeline)->Flush(kMaxTimestamp).ok());
+
+  EXPECT_EQ((*pipeline)->rows_emitted(), windows.size());
+  auto table = offline.GetTable("clicks_1h").value();
+  std::map<std::pair<int64_t, Timestamp>, int> logged;
+  for (const Row& row : table->Scan()) {
+    const std::pair<int64_t, Timestamp> key{row.value(0).int64_value(),
+                                            row.value(1).time_value()};
+    ++logged[key];
+    auto it = windows.find(key);
+    ASSERT_NE(it, windows.end());
+    EXPECT_EQ(row.value(2).int64_value(), it->second);
+  }
+  EXPECT_EQ(logged.size(), windows.size());
+  for (const auto& [key, times] : logged) EXPECT_EQ(times, 1);
+  std::map<int64_t, Timestamp> latest;
+  for (const auto& [key, count] : windows) {
+    latest[key.first] = std::max(latest[key.first], key.second);
+  }
+  for (const auto& [user, window_end] : latest) {
+    auto et = online.GetEventTime("clicks_1h", Value::Int64(user),
+                                  kMaxTimestamp - 1);
+    ASSERT_TRUE(et.ok()) << et.status();
+    EXPECT_EQ(*et, window_end);
+  }
+}
+
+// PutBatch writers (in-batch duplicates, out-of-order event times) racing
+// MultiGet readers on few shards. Readers must only ever see a key's cell
+// move forward in event time, each cell's value must be its own event
+// time, and at the end every key holds the newest event time written to it
+// (the event-time LWW oracle) with every row counted in stats().puts.
+TEST_F(StressTest, ConcurrentPutBatchRacesMultiGet) {
+  constexpr int kBatchWriters = 3;
+  constexpr int kBatchesPerWriter = 300;
+  constexpr int kMultiGetReaders = 3;
+  constexpr int kReadsPerReader = 1500;
+  OnlineStoreOptions store_options;
+  store_options.num_shards = 4;
+  OnlineStore store(store_options);
+  SchemaPtr schema = FeatureViewSchema();
+  ASSERT_TRUE(store.CreateView("feat_a", schema).ok());
+
+  std::vector<std::vector<Timestamp>> newest(
+      kBatchWriters, std::vector<Timestamp>(kKeys, kMinTimestamp));
+  std::vector<uint64_t> written(kBatchWriters, 0);
+  ThreadPool pool(kBatchWriters + kMultiGetReaders);
+  for (int w = 0; w < kBatchWriters; ++w) {
+    pool.Submit([&, w] {
+      Rng rng(900 + w);
+      for (int b = 0; b < kBatchesPerWriter; ++b) {
+        std::vector<OnlinePut> batch(1 + rng.Uniform(100));
+        for (OnlinePut& p : batch) {
+          // Unique event times across writers, in random order.
+          const Timestamp et =
+              Seconds(1 + static_cast<int64_t>(rng.Uniform(1000000)) *
+                              kBatchWriters +
+                      w);
+          const int64_t key = static_cast<int64_t>(rng.Uniform(kKeys));
+          p.entity_key = Value::Int64(key);
+          p.row = Row::CreateUnsafe(schema,
+                                    {Value::Int64(key), Value::Time(et),
+                                     Value::Double(static_cast<double>(et))});
+          p.event_time = et;
+          p.write_time = et;
+          newest[w][key] = std::max(newest[w][key], et);
+        }
+        written[w] += batch.size();
+        ASSERT_TRUE(store.PutBatch("feat_a", batch).ok());
+      }
+    });
+  }
+  for (int r = 0; r < kMultiGetReaders; ++r) {
+    pool.Submit([&, r] {
+      Rng rng(700 + r);
+      std::vector<Timestamp> seen(kKeys, kMinTimestamp);
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        std::vector<Value> keys;
+        for (int k = 0; k < 32; ++k) {
+          keys.push_back(Value::Int64(static_cast<int64_t>(rng.Uniform(kKeys))));
+        }
+        auto rows = store.MultiGet("feat_a", keys, kMaxTimestamp - 1);
+        for (size_t k = 0; k < keys.size(); ++k) {
+          if (!rows[k].ok()) {
+            ASSERT_TRUE(rows[k].status().IsNotFound()) << rows[k].status();
+            continue;
+          }
+          const int64_t key = keys[k].int64_value();
+          const Timestamp et = rows[k]->value(1).time_value();
+          ASSERT_EQ(rows[k]->value(0).int64_value(), key);
+          ASSERT_EQ(rows[k]->value(2).double_value(), static_cast<double>(et));
+          ASSERT_GE(et, seen[key]);
+          seen[key] = et;
+        }
+      }
+    });
+  }
+  pool.Wait();
+
+  uint64_t total = 0;
+  for (uint64_t n : written) total += n;
+  EXPECT_EQ(store.stats().puts, total);
+  for (int64_t key = 0; key < kKeys; ++key) {
+    Timestamp expect = kMinTimestamp;
+    for (const auto& per_writer : newest) {
+      expect = std::max(expect, per_writer[key]);
+    }
+    auto et = store.GetEventTime("feat_a", Value::Int64(key), kMaxTimestamp - 1);
+    if (expect == kMinTimestamp) {
+      EXPECT_FALSE(et.ok());
+      continue;
+    }
+    ASSERT_TRUE(et.ok()) << et.status();
+    EXPECT_EQ(*et, expect);
+  }
+  const OnlineStoreStats s = store.stats();
+  EXPECT_EQ(s.hits + s.misses, s.gets);
+}
+
 // One LineageGraph shared by an EmbeddingStore and a ModelRegistry under
 // concurrent registration (graph writes + MarkStale fan-out), closure
 // readers, and a subscribed staleness listener. Certifies the graph's
