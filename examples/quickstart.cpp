@@ -6,10 +6,14 @@
 //   4. Serve feature vectors at low latency.
 //   5. Build a leakage-free point-in-time training set and train a model.
 //   6. Register the model with pinned feature versions.
+//   7. Checkpoint the store and restore it.
 //
-// Run: ./example_quickstart
+// Run: ./example_quickstart [checkpoint_dir]
+// (the checkpoint goes to the system temp directory by default)
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "core/feature_store.h"
 #include "ml/linear_model.h"
@@ -17,7 +21,7 @@
 
 using namespace mlfs;
 
-int main() {
+int main(int argc, char** argv) {
   FeatureStore store;
 
   // --- 1. Source table ------------------------------------------------------
@@ -143,7 +147,11 @@ int main() {
                   store.models().Get("churn_model")->weights_checksum));
 
   // --- 7. Durability: checkpoint the whole store and reload it --------------
-  const std::string checkpoint_dir = "/tmp/mlfs_quickstart_checkpoint";
+  const std::string checkpoint_dir =
+      argc > 1 ? argv[1]
+               : (std::filesystem::temp_directory_path() /
+                  "mlfs_quickstart_checkpoint")
+                     .string();
   MLFS_CHECK_OK(store.Checkpoint(checkpoint_dir));
   FeatureStore reloaded;
   MLFS_CHECK_OK(reloaded.RestoreCheckpoint(checkpoint_dir));

@@ -658,7 +658,8 @@ inline void CopyCell(FeatureType t, const ColumnVector& src, size_t r,
 }  // namespace
 
 Status Program::EvalBatch(const BatchSource& src, ExprScratch* scratch,
-                          const ColumnVector** result) const {
+                          const ColumnVector** result,
+                          size_t* err_row_out) const {
   const size_t n = src.num_rows();
   if (scratch->program_ != this) {
     scratch->program_ = this;
@@ -1248,7 +1249,10 @@ Status Program::EvalBatch(const BatchSource& src, ExprScratch* scratch,
       }
     }
   }
-  if (err_row != SIZE_MAX) return err;
+  if (err_row != SIZE_MAX) {
+    if (err_row_out != nullptr) *err_row_out = err_row;
+    return err;
+  }
   *result = &regs[out_reg_];
   return Status::OK();
 }

@@ -165,9 +165,12 @@ class Program {
   /// success `*out` points at the result column (owned by `scratch`,
   /// valid until its next use). On error, returns the error of the first
   /// failing row (ties broken by evaluation order within the row) —
-  /// exactly what a row-at-a-time loop would have reported first.
+  /// exactly what a row-at-a-time loop would have reported first — and,
+  /// when `err_row` is non-null, stores that row's index there (it is left
+  /// untouched when the failure belongs to no row, e.g. a column that
+  /// cannot load).
   Status EvalBatch(const BatchSource& src, ExprScratch* scratch,
-                   const ColumnVector** out) const;
+                   const ColumnVector** out, size_t* err_row = nullptr) const;
 
  private:
   friend class ProgramBuilder;

@@ -61,8 +61,8 @@ class CompiledExpr {
   /// Evaluates every row of `src` in one vectorized pass; see
   /// Program::EvalBatch for the result/error contract.
   Status EvalBatch(const BatchSource& src, ExprScratch* scratch,
-                   const ColumnVector** out) const {
-    return program_->EvalBatch(src, scratch, out);
+                   const ColumnVector** out, size_t* err_row = nullptr) const {
+    return program_->EvalBatch(src, scratch, out, err_row);
   }
 
   FeatureType output_type() const { return program_->output_type(); }

@@ -1,6 +1,7 @@
 #ifndef MLFS_EXPR_PARSER_H_
 #define MLFS_EXPR_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -8,7 +9,14 @@
 
 namespace mlfs {
 
-/// Parses a feature-definition expression into an AST.
+/// Deepest expression ParseExpr accepts. A leaf is one level, and every
+/// operator, function call and parenthesised group adds one. Type
+/// inference, lowering, evaluation and the AST destructor all recurse over
+/// the tree, so unbounded nesting in hostile text would overflow the stack.
+inline constexpr size_t kMaxExprDepth = 256;
+
+/// Parses a feature-definition expression into an AST. Text nesting deeper
+/// than kMaxExprDepth is rejected with InvalidArgument.
 ///
 /// Grammar (precedence climbing, loosest first):
 ///   or_expr   := and_expr ( "or" and_expr )*

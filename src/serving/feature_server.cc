@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/failpoint.h"
-#include "common/threadpool.h"
 #include "expr/bytecode.h"
 #include "expr/parser.h"
 #include "registry/registry.h"
@@ -54,11 +53,7 @@ FeatureServer::FeatureServer(const OnlineStore* store,
       lineage_(lineage),
       registry_(registry),
       options_(options),
-      metrics_(kMetricsStripes) {
-  if (options_.batch_parallelism > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.batch_parallelism);
-  }
-}
+      metrics_(kMetricsStripes) {}
 
 template <typename Refetch>
 void FeatureServer::RetryTransient(StatusOr<Row>* row, const Refetch& refetch,
@@ -140,8 +135,6 @@ std::shared_ptr<const Program> FeatureServer::CompiledProgramFor(
   return compile_cache_.emplace(key, std::move(*program)).first->second;
 }
 
-FeatureServer::~FeatureServer() = default;
-
 void FeatureServer::RecordLatency(double micros,
                                   uint64_t num_requests) const {
   MetricsStripe& stripe = metrics_[ThreadStripeSeed() % kMetricsStripes];
@@ -153,123 +146,7 @@ void FeatureServer::RecordLatency(double micros,
 StatusOr<FeatureVector> FeatureServer::GetFeatures(
     const Value& entity_key, const std::vector<std::string>& features,
     Timestamp now) const {
-  MLFS_FAILPOINT("feature_server.get");
-  const double start = NowMicros();
-  uint64_t retries = 0;
-  FeatureVector out;
-  out.names = features;
-  out.values.reserve(features.size());
-  for (const std::string& feature : features) {
-    if (EmbeddingTablePtr table = ResolveEmbeddingFeature(feature)) {
-      if (std::string note = StaleNote(feature, table); !note.empty()) {
-        out.stale.push_back(std::move(note));
-      }
-      const float* vec = nullptr;
-      if (entity_key.type() == FeatureType::kString) {
-        auto lookup = table->Get(entity_key.string_value());
-        if (lookup.ok()) vec = *lookup;
-      }
-      if (vec == nullptr) {
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          retries_.fetch_add(retries, std::memory_order_relaxed);
-          return Status::NotFound("feature '" + feature +
-                                  "' unavailable: no embedding for entity " +
-                                  entity_key.ToString());
-        }
-        out.values.push_back(Value::Null());
-        ++out.missing;
-        continue;
-      }
-      out.values.push_back(
-          Value::Embedding(std::vector<float>(vec, vec + table->dim())));
-      out.oldest_event_time =
-          std::min(out.oldest_event_time, table->metadata().created_at);
-      continue;
-    }
-    if (std::optional<ComputedFeature> comp = ResolveComputedFeature(feature)) {
-      if (std::string note = StaleNoteArtifact(
-              feature, FeatureArtifact(comp->reg.def.name, comp->reg.version));
-          !note.empty()) {
-        out.stale.push_back(std::move(note));
-      }
-      StatusOr<Row> row =
-          comp->program != nullptr
-              ? store_->Get(comp->mirror_view, entity_key, now)
-              : StatusOr<Row>(Status::NotFound("no source rows ingested for '" +
-                                               comp->reg.def.source_table +
-                                               "'"));
-      RetryTransient(
-          &row,
-          [&] { return store_->Get(comp->mirror_view, entity_key, now); },
-          &retries);
-      bool transient = false;
-      StatusOr<Value> value = [&]() -> StatusOr<Value> {
-        if (!row.ok()) {
-          transient = IsTransient(row.status());
-          return row.status();
-        }
-        ExprScratch scratch;
-        return comp->program->EvalRow(*row, &scratch);
-      }();
-      if (!value.ok()) {
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          retries_.fetch_add(retries, std::memory_order_relaxed);
-          return Status::NotFound("feature '" + feature +
-                                  "' unavailable: " + value.status().message());
-        }
-        out.values.push_back(Value::Null());
-        ++out.missing;
-        if (transient) ++out.degraded;  // Retries exhausted, not a miss.
-        continue;
-      }
-      // A NULL result of a live evaluation is the feature's value, not a
-      // miss — exactly what the materializer would have logged.
-      out.values.push_back(std::move(*value));
-      const int time_idx =
-          row->schema()->FieldIndex(comp->reg.source_time_column);
-      if (time_idx >= 0) {
-        out.oldest_event_time =
-            std::min(out.oldest_event_time, row->value(time_idx).time_value());
-      }
-      continue;
-    }
-    if (std::string note = StaleNote(feature, nullptr); !note.empty()) {
-      out.stale.push_back(std::move(note));
-    }
-    StatusOr<Row> row = store_->Get(feature, entity_key, now);
-    RetryTransient(
-        &row, [&] { return store_->Get(feature, entity_key, now); }, &retries);
-    if (!row.ok()) {
-      const bool transient = IsTransient(row.status());
-      if (options_.missing_policy == MissingFeaturePolicy::kError) {
-        retries_.fetch_add(retries, std::memory_order_relaxed);
-        return Status::NotFound("feature '" + feature +
-                                "' unavailable: " + row.status().message());
-      }
-      out.values.push_back(Value::Null());
-      ++out.missing;
-      if (transient) ++out.degraded;  // Retries exhausted, not a miss.
-      continue;
-    }
-    // Materialized views have layout {entity, event_time, value}.
-    int value_idx = row->schema()->FieldIndex("value");
-    int time_idx = row->schema()->FieldIndex("event_time");
-    if (value_idx < 0 || time_idx < 0) {
-      retries_.fetch_add(retries, std::memory_order_relaxed);
-      return Status::FailedPrecondition(
-          "view '" + feature + "' is not a materialized feature view");
-    }
-    out.values.push_back(row->value(value_idx));
-    out.oldest_event_time =
-        std::min(out.oldest_event_time, row->value(time_idx).time_value());
-  }
-  retries_.fetch_add(retries, std::memory_order_relaxed);
-  if (out.degraded > 0) {
-    degraded_features_.fetch_add(out.degraded, std::memory_order_relaxed);
-    degraded_responses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  RecordLatency(NowMicros() - start, 1);
-  return out;
+  return std::move(GetFeaturesBatch({entity_key}, features, now).front());
 }
 
 std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
@@ -285,8 +162,6 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
 
   // Stage 1 — fetch: one shard-grouped MultiGet per requested view, then
   // per-(entity, feature)-cell retry with backoff for transient errors.
-  // Views are independent, so with batch_parallelism > 1 they fan out over
-  // the pool; each task writes only its own column.
   std::vector<std::vector<StatusOr<Row>>> columns(num_views);
   // {value, event_time} field indices per view, from its first live row;
   // {-1, -1} when the view never produced a row in this batch.
@@ -310,8 +185,7 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
   // materialized view evaluate here, over each entity's latest raw source
   // row. One shard-grouped mirror-view MultiGet per distinct source table
   // (shared across computed features of that table), then one vectorized
-  // EvalBatch per feature over the rows found. Mirror fetches and
-  // evaluation run before the parallel view stage.
+  // EvalBatch per feature over the rows found.
   struct ComputedColumn {
     std::optional<ComputedFeature> comp;
     std::vector<StatusOr<Value>> cells;  // Per entity: value or status.
@@ -392,8 +266,8 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
     }
   }
 
-  auto fetch_view = [&](size_t j) {
-    if (computed[j].comp.has_value()) return;  // Evaluated above.
+  for (size_t j = 0; j < num_views; ++j) {
+    if (computed[j].comp.has_value()) continue;  // Evaluated above.
     if (EmbeddingTablePtr table = ResolveEmbeddingFeature(features[j])) {
       EmbeddingColumn& emb = emb_columns[j];
       emb.table = std::move(table);
@@ -417,7 +291,7 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
           emb.rows[i] = dst;
         }
       }
-      return;
+      continue;
     }
     stale_notes[j] = StaleNote(features[j], nullptr);
     std::vector<StatusOr<Row>>& column = columns[j];
@@ -434,12 +308,6 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
       }
     }
     if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
-  };
-  if (pool_ != nullptr && num_views > 1) {
-    ParallelFor(pool_.get(), 0, num_views,
-                [&fetch_view](size_t j) { fetch_view(j); });
-  } else {
-    for (size_t j = 0; j < num_views; ++j) fetch_view(j);
   }
 
   // Stage 2 — assemble one FeatureVector per entity from the fetched
@@ -449,8 +317,7 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
   uint64_t degraded_features = 0, degraded_responses = 0;
   for (size_t i = 0; i < n; ++i) {
     if (any_failpoint) {
-      // Per-request failpoint, one evaluation per entity, as in the
-      // per-entity GetFeatures path.
+      // Per-request failpoint, one evaluation per entity.
       Status injected =
           FailpointRegistry::Instance().Evaluate("feature_server.get");
       if (!injected.ok()) {

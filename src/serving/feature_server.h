@@ -21,7 +21,6 @@ namespace mlfs {
 
 class FeatureRegistry;  // registry/registry.h
 class Program;          // expr/bytecode.h
-class ThreadPool;
 
 /// What Get does when a requested feature has no live online value.
 enum class MissingFeaturePolicy : uint8_t {
@@ -38,9 +37,6 @@ struct FeatureServerOptions {
   /// Real-time backoff before retry k: initial_backoff_micros << (k-1).
   /// 0 disables sleeping (retries stay back-to-back; keep 0 in unit tests).
   uint64_t initial_backoff_micros = 0;
-  /// When > 1, GetFeaturesBatch fans its per-view MultiGets out over an
-  /// internal thread pool of this many workers; 1 keeps assembly serial.
-  uint32_t batch_parallelism = 1;
 };
 
 /// Traffic and resilience counters for one FeatureServer.
@@ -88,12 +84,12 @@ struct FeatureVector {
 /// (kNull fills NULL so the model can impute). stats() exposes
 /// retry/degradation counters for alerting.
 ///
-/// GetFeaturesBatch is batch-aware: it issues one shard-grouped
+/// GetFeaturesBatch is the one serving path: it issues one shard-grouped
 /// OnlineStore::MultiGet per requested view (views × one store call,
-/// instead of entities × features point Gets), retries transient errors
-/// per (entity, feature) cell, and — with batch_parallelism > 1 — fans
-/// view fetches out over an internal thread pool. Results are per-entity:
-/// one entity failing under kError does not fail its batch-mates.
+/// instead of entities × features point Gets) and retries transient errors
+/// per (entity, feature) cell. Results are per-entity: one entity failing
+/// under kError does not fail its batch-mates. GetFeatures is a batch of
+/// one.
 ///
 /// When constructed with an EmbeddingStore, a requested feature that is
 /// not an online view but names a registered embedding (bare name or
@@ -138,12 +134,12 @@ class FeatureServer {
                          const EmbeddingStore* embeddings = nullptr,
                          const LineageGraph* lineage = nullptr,
                          const FeatureRegistry* registry = nullptr);
-  ~FeatureServer();
 
   FeatureServer(const FeatureServer&) = delete;
   FeatureServer& operator=(const FeatureServer&) = delete;
 
-  /// Fetches `features` for `entity_key` at logical time `now`.
+  /// Fetches `features` for `entity_key` at logical time `now`: entry 0 of
+  /// a one-entity GetFeaturesBatch.
   StatusOr<FeatureVector> GetFeatures(const Value& entity_key,
                                       const std::vector<std::string>& features,
                                       Timestamp now) const;
@@ -162,6 +158,9 @@ class FeatureServer {
 
   FeatureServerStats stats() const;
 
+  /// Entities served so far. Every GetFeaturesBatch entry counts as one
+  /// request whether it succeeded or failed, so a GetFeatures call (a batch
+  /// of one) counts once even when it returns an error.
   uint64_t requests() const;
 
  private:
@@ -228,9 +227,6 @@ class FeatureServer {
   mutable std::mutex compile_mu_;
   mutable std::unordered_map<std::string, std::shared_ptr<const Program>>
       compile_cache_;
-  /// Workers for parallel per-view batch assembly; null when
-  /// options_.batch_parallelism <= 1.
-  std::unique_ptr<ThreadPool> pool_;
   mutable std::vector<MetricsStripe> metrics_;
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<uint64_t> degraded_features_{0};

@@ -784,145 +784,50 @@ Status OfflineTable::CompactPartition(int64_t pid) {
     if (it == partitions_.end()) return Status::OK();
     captured = it->second.segments;
   }
-  return CompactRun(pid, std::move(captured));
-}
-
-Status OfflineTable::CompactRun(int64_t pid, std::vector<SegmentPtr> captured) {
   if (captured.size() < 2) return Status::OK();
   // Merge off-lock: adjacent segments cover adjacent ordinal ranges, so
-  // concatenating a captured run in order is ordinal order — the merged
-  // segment covers the contiguous range starting at the run's first base
-  // and the append-order tie-break is untouched.
-  // The merge runs column to column over the encoded buffers (resident or
-  // mapped); no Row is built.
+  // concatenating them in order is ordinal order and the append-order
+  // tie-break is untouched. The merge runs column to column over the
+  // encoded buffers (resident or mapped); no Row is built.
   MLFS_ASSIGN_OR_RETURN(
       std::string blob,
       Segment::Merge(options_.schema, pid, entity_idx_, time_idx_, captured));
   MLFS_ASSIGN_OR_RETURN(SegmentPtr merged, Segment::FromBytes(std::move(blob)));
-  // Swap under the exclusive lock, after verifying the captured run is
-  // still in place (it must be — see above — but a pointer check is cheap
-  // insurance against a future locking regression). Auto-seal may have
-  // appended segments after the run, never inside or before it.
+  // Swap under the exclusive lock, after verifying the captured segments
+  // are still the partition's first ones (they must be — see above — but
+  // a pointer check is cheap insurance against a future locking
+  // regression). Auto-seal may have appended segments after them.
   std::unique_lock lock(mu_);
   auto it = partitions_.find(pid);
   if (it == partitions_.end()) {
     return Status::Internal("partition vanished during compaction");
   }
   Partition& part = it->second;
-  const auto first = std::find(part.segments.begin(), part.segments.end(),
-                               captured.front());
-  const size_t at = static_cast<size_t>(first - part.segments.begin());
-  if (first == part.segments.end() ||
-      part.segments.size() - at < captured.size()) {
-    return Status::Internal("segment run vanished during compaction");
+  if (part.segments.size() < captured.size() ||
+      !std::equal(captured.begin(), captured.end(), part.segments.begin())) {
+    return Status::Internal("segments changed during compaction");
   }
-  for (size_t s = 0; s < captured.size(); ++s) {
-    if (part.segments[at + s] != captured[s]) {
-      return Status::Internal("segment run changed during compaction");
-    }
-  }
-  const size_t base = part.segment_base[at];
-  part.segments.erase(part.segments.begin() + at,
-                      part.segments.begin() + at + captured.size());
-  part.segments.insert(part.segments.begin() + at, std::move(merged));
-  part.segment_base.erase(part.segment_base.begin() + at,
-                          part.segment_base.begin() + at + captured.size());
-  part.segment_base.insert(part.segment_base.begin() + at, base);
+  const size_t n = captured.size();
+  part.segments.erase(part.segments.begin() + 1, part.segments.begin() + n);
+  part.segments.front() = std::move(merged);
+  part.segment_base.erase(part.segment_base.begin() + 1,
+                          part.segment_base.begin() + n);
   return Status::OK();
 }
 
-namespace {
-
-/// log2 size bucket for size-tiered compaction: segments in the same
-/// bucket are "peers" worth merging (the merge graduates them together
-/// into the next bucket).
-int SizeBucket(const SegmentPtr& seg) {
-  int bucket = 0;
-  for (size_t size = seg->encoded_size() >> 12; size != 0; size >>= 1) {
-    ++bucket;  // 0: <4KiB, 1: <8KiB, ...
-  }
-  return bucket;
-}
-
-/// True when the two segments' event-time ranges intersect — fragments
-/// that interleave in time are where as-of probes pay for fragmentation,
-/// so overlapping runs merge first.
-bool TsOverlap(const SegmentPtr& a, const SegmentPtr& b) {
-  return a->min_ts() <= b->max_ts() && b->min_ts() <= a->max_ts();
-}
-
-/// Picks the best adjacent same-bucket run of >= 2 segments: most
-/// time-overlapping adjacent pairs, then longest, then earliest. Empty
-/// when every bucket neighbor pair differs — the caller falls back to
-/// merging the smallest adjacent pair so fragmentation always shrinks.
-std::vector<SegmentPtr> PickSizeTieredRun(
-    const std::vector<SegmentPtr>& segments) {
-  size_t best_at = 0, best_len = 0, best_overlap = 0;
-  size_t at = 0;
-  while (at < segments.size()) {
-    const int bucket = SizeBucket(segments[at]);
-    size_t end = at + 1, overlap = 0;
-    while (end < segments.size() && SizeBucket(segments[end]) == bucket) {
-      if (TsOverlap(segments[end - 1], segments[end])) ++overlap;
-      ++end;
-    }
-    const size_t len = end - at;
-    if (len >= 2 && (overlap > best_overlap ||
-                     (overlap == best_overlap && len > best_len))) {
-      best_at = at;
-      best_len = len;
-      best_overlap = overlap;
-    }
-    at = end;
-  }
-  if (best_len >= 2) {
-    return {segments.begin() + best_at, segments.begin() + best_at + best_len};
-  }
-  return {};
-}
-
-}  // namespace
-
 Status OfflineTable::CompactInner(size_t min_segments) {
   MLFS_FAILPOINT("offline_store.compact");
-  const bool size_tiered =
-      options_.compaction_policy == CompactionPolicy::kSizeTiered;
   std::vector<int64_t> candidates;
-  std::vector<std::vector<SegmentPtr>> runs;  // Parallel, size-tiered only.
   {
     std::shared_lock lock(mu_);
     for (const auto& [pid, part] : partitions_) {
-      if (part.segments.size() < std::max<size_t>(min_segments, 2)) continue;
-      if (!size_tiered) {
+      if (part.segments.size() >= std::max<size_t>(min_segments, 2)) {
         candidates.push_back(pid);
-        continue;
       }
-      std::vector<SegmentPtr> run = PickSizeTieredRun(part.segments);
-      if (run.empty()) {
-        // No same-bucket peers: merge the smallest adjacent pair so the
-        // partition still converges instead of fragmenting forever.
-        size_t smallest = 0;
-        size_t smallest_bytes = SIZE_MAX;
-        for (size_t s = 0; s + 1 < part.segments.size(); ++s) {
-          const size_t bytes = part.segments[s]->encoded_size() +
-                               part.segments[s + 1]->encoded_size();
-          if (bytes < smallest_bytes) {
-            smallest_bytes = bytes;
-            smallest = s;
-          }
-        }
-        run = {part.segments[smallest], part.segments[smallest + 1]};
-      }
-      candidates.push_back(pid);
-      runs.push_back(std::move(run));
     }
   }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (size_tiered) {
-      MLFS_RETURN_IF_ERROR(CompactRun(candidates[c], std::move(runs[c])));
-    } else {
-      MLFS_RETURN_IF_ERROR(CompactPartition(candidates[c]));
-    }
+  for (int64_t pid : candidates) {
+    MLFS_RETURN_IF_ERROR(CompactPartition(pid));
   }
   return Status::OK();
 }

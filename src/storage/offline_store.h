@@ -64,23 +64,6 @@ struct MaterializedCell {
   Value value;
 };
 
-/// How RunMaintenance() picks segments to merge (explicit
-/// CompactPartitions() always merges everything regardless of policy).
-enum class CompactionPolicy : uint8_t {
-  /// Merge every segment of a partition once the partition accumulates
-  /// compact_min_segments of them — the historical policy. Simple, but
-  /// each pass rewrites the partition's entire sealed history, so write
-  /// amplification grows with partition size.
-  kSegmentCount = 0,
-  /// Size-tiered: merge only an adjacent run of segments in the same
-  /// log2-size bucket (preferring runs whose event-time ranges overlap,
-  /// which is where as-of reads pay for fragmentation). Merged output
-  /// graduates to a bigger bucket and is not rewritten again until peers
-  /// of its own size accumulate — write amplification per row is
-  /// O(log n) instead of O(n / seal_rows).
-  kSizeTiered = 1,
-};
-
 /// Configuration for one offline (historical) table.
 struct OfflineTableOptions {
   std::string name;
@@ -109,8 +92,6 @@ struct OfflineTableOptions {
   /// RunMaintenance() compacts a partition once it accumulates this many
   /// sealed segments (explicit CompactPartitions() compacts at >= 2).
   size_t compact_min_segments = 4;
-  /// Segment-selection policy for RunMaintenance() compaction.
-  CompactionPolicy compaction_policy = CompactionPolicy::kSegmentCount;
 };
 
 /// Storage-tier counters for one table (see storage_stats()).
@@ -358,11 +339,9 @@ class OfflineTable {
   /// Adopts a restored segment as the next ordinal range of its partition
   /// and adds its key-directory postings (caller holds the exclusive lock).
   Status AdoptSegmentLocked(const SegmentPtr& seg);
+  /// Merges every sealed segment of partition `pid` into one and swaps it
+  /// in. Caller holds maintenance_mu_.
   Status CompactPartition(int64_t pid);
-  /// Merges `captured` — a contiguous run of `pid`'s sealed segments,
-  /// captured under the shared lock — into one segment and swaps it in
-  /// place. Caller holds maintenance_mu_.
-  Status CompactRun(int64_t pid, std::vector<SegmentPtr> captured);
   Status SealHeadsInner(size_t min_rows);
   Status CompactInner(size_t min_segments);
   Status EnforceBudgetInner();

@@ -60,9 +60,7 @@ StatusOr<std::unique_ptr<StreamPipeline>> StreamPipeline::Create(
 }
 
 Status StreamPipeline::Ingest(const Row& event) {
-  MLFS_RETURN_IF_ERROR(aggregator_->ProcessEvent(event));
-  ++events_ingested_;
-  return MaterializeReady();
+  return IngestBatch(std::span<const Row>(&event, 1));
 }
 
 Status StreamPipeline::IngestBatch(std::span<const Row> events) {

@@ -48,7 +48,8 @@ class StreamPipeline {
       StreamPipelineOptions options, OnlineStore* online,
       OfflineStore* offline);
 
-  /// Processes one raw event and materializes any windows it finalized.
+  /// Processes one raw event and materializes any windows it finalized: a
+  /// one-event IngestBatch.
   Status Ingest(const Row& event);
 
   /// Processes a batch of raw events (aggregation inputs evaluate

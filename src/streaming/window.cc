@@ -96,47 +96,7 @@ Timestamp WindowedAggregator::FirstWindowStartFor(Timestamp t) const {
 }
 
 Status WindowedAggregator::ProcessEvent(const Row& event) {
-  if (event.schema() == nullptr || !(*event.schema() == *schema_)) {
-    return Status::InvalidArgument("event schema mismatch");
-  }
-  const Value& tv = event.value(time_idx_);
-  if (tv.is_null()) return Status::InvalidArgument("event time is null");
-  Timestamp t = tv.time_value();
-  if (watermark_ != kMinTimestamp && t < watermark_) {
-    ++dropped_late_;
-    return Status::OK();
-  }
-  MLFS_ASSIGN_OR_RETURN(std::string key,
-                        EntityKeyToString(event.value(entity_idx_)));
-
-  for (Timestamp start = FirstWindowStartFor(t); start <= t;
-       start += window_.slide) {
-    EntityState& state = [&]() -> EntityState& {
-      auto& by_entity = open_[start];
-      auto it = by_entity.find(key);
-      if (it != by_entity.end()) return it->second;
-      EntityState fresh;
-      fresh.aggs.reserve(aggs_.size());
-      for (const auto& spec : aggs_) fresh.aggs.push_back(MakeAggregator(spec.fn));
-      return by_entity.emplace(key, std::move(fresh)).first->second;
-    }();
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (inputs_[i] == nullptr) {
-        state.aggs[i]->Add(Value::Bool(true));  // Count the event.
-        continue;
-      }
-      MLFS_ASSIGN_OR_RETURN(Value v, inputs_[i]->Eval(event));
-      state.aggs[i]->Add(v);
-    }
-  }
-
-  max_event_time_ = std::max(max_event_time_, t);
-  Timestamp new_watermark = max_event_time_ - allowed_lateness_;
-  if (new_watermark > watermark_) {
-    watermark_ = new_watermark;
-    MaybeFinalize();
-  }
-  return Status::OK();
+  return ProcessEvents(std::span<const Row>(&event, 1));
 }
 
 Status WindowedAggregator::ProcessEvents(std::span<const Row> events) {
@@ -148,16 +108,12 @@ Status WindowedAggregator::ProcessEvents(std::span<const Row> events) {
   return Status::OK();
 }
 
-Status WindowedAggregator::FallbackRowPath(std::span<const Row> chunk) {
-  for (const Row& event : chunk) MLFS_RETURN_IF_ERROR(ProcessEvent(event));
-  return Status::OK();
-}
-
 Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
-  // Pre-scan with the same prefix-max watermark the row path would have
-  // seen after each event; nothing mutates until the scan (and every batch
-  // evaluation) has succeeded, so any failure can re-run the chunk through
-  // the row path and report the error at the exact event that caused it.
+  // Pre-scan with the prefix-max watermark each event would have seen had
+  // the events arrived one at a time. Nothing mutates until the scan and
+  // every batch evaluation have succeeded; the first failing event (at
+  // chunk position `fail_pos`) is found on the way, so a failure applies
+  // exactly the events before it and leaves no trace of it.
   std::vector<const Row*> live;
   std::vector<Timestamp> live_ts;
   std::vector<std::string> live_keys;
@@ -167,19 +123,32 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
   Timestamp wm = watermark_;
   Timestamp max_t = max_event_time_;
   uint64_t dropped = 0;
-  for (const Row& event : chunk) {
+  Status fail;
+  size_t fail_pos = chunk.size();
+  for (size_t p = 0; p < chunk.size(); ++p) {
+    const Row& event = chunk[p];
     if (event.schema() == nullptr || !(*event.schema() == *schema_)) {
-      return FallbackRowPath(chunk);
+      fail = Status::InvalidArgument("event schema mismatch");
+      fail_pos = p;
+      break;
     }
     const Value& tv = event.value(time_idx_);
-    if (tv.is_null()) return FallbackRowPath(chunk);
+    if (tv.is_null()) {
+      fail = Status::InvalidArgument("event time is null");
+      fail_pos = p;
+      break;
+    }
     Timestamp t = tv.time_value();
     if (wm != kMinTimestamp && t < wm) {
       ++dropped;
       continue;
     }
     auto key = EntityKeyToString(event.value(entity_idx_));
-    if (!key.ok()) return FallbackRowPath(chunk);
+    if (!key.ok()) {
+      fail = key.status();
+      fail_pos = p;
+      break;
+    }
     live.push_back(&event);
     live_ts.push_back(t);
     live_keys.push_back(std::move(key).value());
@@ -187,17 +156,28 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
     if (max_t - allowed_lateness_ > wm) wm = max_t - allowed_lateness_;
   }
   // One vectorized evaluation per aggregation input over the surviving
-  // rows (the row path re-evaluates per overlapping window; expressions
-  // are pure, so sharing the result across windows is observably equal).
+  // rows; expressions are pure, so one result serves every window an
+  // event falls in. An input's failure maps back to the first failing
+  // event; across inputs the earliest event wins, then the lowest
+  // aggregation, which is the order a per-event loop evaluates them in.
   std::vector<const ColumnVector*> cols(inputs_.size(), nullptr);
   if (!live.empty()) {
     RowPtrBatchSource src(schema_, live);
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (inputs_[i] == nullptr) continue;
-      if (!inputs_[i]->EvalBatch(src, &scratch_[i], &cols[i]).ok()) {
-        return FallbackRowPath(chunk);
+      size_t err_row = 0;  // A failure tied to no row fails the first.
+      Status s = inputs_[i]->EvalBatch(src, &scratch_[i], &cols[i], &err_row);
+      if (s.ok()) continue;
+      const size_t pos = static_cast<size_t>(live[err_row] - chunk.data());
+      if (pos < fail_pos) {
+        fail = std::move(s);
+        fail_pos = pos;
       }
     }
+  }
+  if (!fail.ok()) {
+    if (fail_pos > 0) MLFS_RETURN_IF_ERROR(ProcessChunk(chunk.first(fail_pos)));
+    return fail;
   }
   for (size_t r = 0; r < live.size(); ++r) {
     const Timestamp t = live_ts[r];
@@ -231,7 +211,8 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
     watermark_ = new_watermark;
     // Deferring finalization to the chunk boundary is safe: every window
     // containing a chunk event ends after that event's time, which is at
-    // or above the watermark the row path would have finalized against.
+    // or above the watermark a per-event loop would have finalized
+    // against.
     MaybeFinalize();
   }
   return Status::OK();

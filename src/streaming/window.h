@@ -65,17 +65,20 @@ class WindowedAggregator {
       std::vector<WindowAggSpec> aggs, Timestamp allowed_lateness = 0);
 
   /// Folds one event into all windows containing it; advances the
-  /// watermark, which may finalize older windows.
+  /// watermark, which may finalize older windows. A one-event
+  /// ProcessEvents.
   Status ProcessEvent(const Row& event);
 
-  /// Batch equivalent of calling ProcessEvent on each row in order:
+  /// Folds `events` in order, observably as if they arrived one at a time:
   /// aggregation-input expressions evaluate vector-at-a-time over each
   /// chunk of surviving (non-late) events, late-event drops follow the
-  /// same prefix-max watermark the one-at-a-time path would have seen,
-  /// and finalization is deferred to chunk boundaries (observably
-  /// identical — a window past the watermark can never receive events).
-  /// Chunks that would error fall back to the row path so failure
-  /// positions match exactly.
+  /// prefix-max watermark each event would have seen, and finalization is
+  /// deferred to chunk boundaries (a window past the watermark can never
+  /// receive events). On the first failing event — schema mismatch, NULL
+  /// event time, a bad entity key, or an aggregation input that fails to
+  /// evaluate (earliest event first, then lowest aggregation) — the events
+  /// before it are applied and its status is returned; the failing event
+  /// and those after it leave no trace.
   Status ProcessEvents(std::span<const Row> events);
 
   /// Finalized results since the last poll, ordered by (window_end, entity).
@@ -108,7 +111,6 @@ class WindowedAggregator {
   void MaybeFinalize();
   Timestamp FirstWindowStartFor(Timestamp t) const;
   Status ProcessChunk(std::span<const Row> chunk);
-  Status FallbackRowPath(std::span<const Row> chunk);
 
   SchemaPtr schema_;
   int entity_idx_;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+
+#include "expr/evaluator.h"
 #include "expr/lexer.h"
 #include "expr/parser.h"
 
@@ -112,6 +116,73 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseExpr("a b").ok());
   EXPECT_FALSE(ParseExpr("f(a,").ok());
   EXPECT_FALSE(ParseExpr("and a").ok());
+}
+
+std::string Repeat(std::string_view piece, size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+// Hostile nesting is rejected with a Status instead of overflowing the
+// stack, for every shape that nests: parentheses, unary operators, call
+// arguments and left-deep binary chains (built in a loop, not by
+// recursion, so only a depth count catches them).
+TEST(ParserTest, RejectsNestingPastTheBound) {
+  const std::string too_deep[] = {
+      Repeat("(", 2000) + "1" + Repeat(")", 2000),
+      Repeat("NOT ", 20000) + "true",
+      Repeat("-", 20000) + "1",
+      Repeat("abs(", 2000) + "x" + Repeat(")", 2000),
+      "x" + Repeat("+1", 20000),
+      "p" + Repeat(" and p", 20000),
+      // One level past the bound in each shape.
+      Repeat("(", kMaxExprDepth) + "1" + Repeat(")", kMaxExprDepth),
+      Repeat("NOT ", kMaxExprDepth) + "true",
+      Repeat("abs(", kMaxExprDepth) + "x" + Repeat(")", kMaxExprDepth),
+      "x" + Repeat("+1", kMaxExprDepth),
+  };
+  for (const std::string& src : too_deep) {
+    auto e = ParseExpr(src);
+    ASSERT_FALSE(e.ok()) << src.substr(0, 40);
+    EXPECT_TRUE(e.status().IsInvalidArgument()) << e.status();
+  }
+  auto schema = Schema::Create({{"x", FeatureType::kInt64, true}}).value();
+  auto compiled = CompiledExpr::Compile("x" + Repeat("+1", 20000), schema);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_TRUE(compiled.status().IsInvalidArgument()) << compiled.status();
+}
+
+// Exactly at the bound every shape still parses, compiles and evaluates,
+// row-at-a-time and as a batch.
+TEST(ParserTest, AcceptsNestingAtTheBound) {
+  const size_t n = kMaxExprDepth - 1;  // Levels above the leaf.
+  auto schema = Schema::Create({{"x", FeatureType::kInt64, true},
+                                {"p", FeatureType::kBool, true}})
+                    .value();
+  const struct {
+    std::string src;
+    Value want;
+  } cases[] = {
+      {Repeat("(", n) + "x" + Repeat(")", n), Value::Int64(5)},
+      {Repeat("NOT ", n) + "p", Value::Bool(false)},  // n is odd.
+      {Repeat("- ", n) + "x", Value::Int64(-5)},
+      {Repeat("abs(", n) + "x" + Repeat(")", n), Value::Int64(5)},
+      {"x" + Repeat("+1", n), Value::Int64(5 + static_cast<int64_t>(n))},
+  };
+  Row row = Row::Create(schema, {Value::Int64(5), Value::Bool(true)}).value();
+  for (const auto& c : cases) {
+    auto compiled = CompiledExpr::Compile(c.src, schema);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto value = compiled->Eval(row);
+    ASSERT_TRUE(value.ok()) << value.status();
+    EXPECT_EQ(*value, c.want) << c.src.substr(0, 40);
+    ExprScratch scratch;
+    RowBatchSource src(schema, std::span<const Row>(&row, 1));
+    const ColumnVector* out = nullptr;
+    ASSERT_TRUE(compiled->EvalBatch(src, &scratch, &out).ok());
+    EXPECT_EQ(out->GetValue(0), c.want) << c.src.substr(0, 40);
+  }
 }
 
 TEST(ParserTest, ReferencedColumns) {

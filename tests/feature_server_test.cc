@@ -301,25 +301,43 @@ TEST_F(FeatureServerTest, BatchRejectsNonFeatureViewsPerEntity) {
   EXPECT_TRUE(batch[1].status().IsFailedPrecondition());
 }
 
-TEST_F(FeatureServerTest, BatchParallelAssemblyMatchesSerial) {
-  FeatureServerOptions parallel_options;
-  parallel_options.batch_parallelism = 4;
-  FeatureServer parallel_server(&store_, parallel_options);
-  FeatureServer serial_server(&store_);
-  std::vector<Value> keys;
-  for (int64_t e = 0; e < 16; ++e) keys.push_back(Value::Int64(e % 3));
-  std::vector<std::string> features = {"f1", "f2", "f1"};
-  auto parallel = parallel_server.GetFeaturesBatch(keys, features, Hours(4));
-  auto serial = serial_server.GetFeaturesBatch(keys, features, Hours(4));
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < parallel.size(); ++i) {
-    ASSERT_EQ(parallel[i].ok(), serial[i].ok());
-    if (!parallel[i].ok()) continue;
-    EXPECT_EQ(parallel[i]->values, serial[i]->values);
-    EXPECT_EQ(parallel[i]->missing, serial[i]->missing);
-    EXPECT_EQ(parallel[i]->oldest_event_time, serial[i]->oldest_event_time);
+// The per-request failpoint fails only the entities it fires on. With the
+// store hard-down too, the entities that do get served degrade, the failed
+// one is not counted as degraded, and every entity counts as a request,
+// including a failed single-key call.
+TEST_F(FeatureServerFailpointTest, ServerFailpointFailsOnlyItsEntity) {
+  FeatureServer server(&store_);
+  FailpointConfig outage;
+  outage.status = Status::Internal("injected store outage");
+  ScopedFailpoint store_fp("online_store.get", outage);
+  FailpointConfig injected;
+  injected.status = Status::FailedPrecondition("injected serving fault");
+  injected.max_fires = 1;
+  {
+    ScopedFailpoint fp("feature_server.get", injected);
+    auto batch = server.GetFeaturesBatch(
+        {Value::Int64(1), Value::Int64(2), Value::Int64(1)}, {"f1", "f2"},
+        Hours(4));
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_EQ(batch[0].status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(batch[0].status().message(), "injected serving fault");
+    for (size_t i = 1; i < batch.size(); ++i) {
+      ASSERT_TRUE(batch[i].ok()) << batch[i].status();
+      EXPECT_EQ(batch[i]->degraded, 2u);
+    }
+    EXPECT_EQ(fp.stats().fires, 1u);
   }
-  EXPECT_EQ(parallel_server.requests(), keys.size());
+  EXPECT_EQ(server.requests(), 3u);
+  FeatureServerStats stats = server.stats();
+  EXPECT_EQ(stats.degraded_features, 4u);
+  EXPECT_EQ(stats.degraded_responses, 2u);
+
+  ScopedFailpoint fp("feature_server.get", injected);
+  auto single = server.GetFeatures(Value::Int64(1), {"f1"}, Hours(4));
+  EXPECT_EQ(single.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(single.status().message(), "injected serving fault");
+  EXPECT_EQ(server.requests(), 4u);
+  EXPECT_EQ(server.stats().degraded_responses, 2u);
 }
 
 TEST_F(FeatureServerTest, EmptyBatchIsEmpty) {

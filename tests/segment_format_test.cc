@@ -326,72 +326,7 @@ TEST_F(SegmentFaultTest, CorruptSnapshotSegmentRejected) {
   EXPECT_FALSE(restored.ok());
 }
 
-// --- Compaction policy + spilled-segment reads -------------------------
-
-// Size-tiered maintenance merges only the run of similarly-sized segments
-// (the big segment is left alone), while explicit CompactPartitions()
-// still collapses everything; the rows themselves never change.
-TEST(CompactionPolicyTest, SizeTieredMergesPeersAndLeavesTheBigSegment) {
-  OfflineTableOptions options;
-  options.name = "size_tiered";
-  options.schema = AllEncodingsSchema();
-  options.entity_column = "key";
-  options.time_column = "event_time";
-  options.seal_rows = 512;  // Above any append: only SealHeads() seals.
-  options.compact_min_segments = 3;
-  options.compaction_policy = CompactionPolicy::kSizeTiered;
-  auto table = OfflineTable::Create(options).value();
-  const SchemaPtr& schema = table->options().schema;
-
-  // One big segment (a higher log2-size bucket than the small ones)...
-  ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, 256)).ok());
-  ASSERT_TRUE(table->SealHeads().ok());
-  // ...then a run of three small peers.
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, 8)).ok());
-    ASSERT_TRUE(table->SealHeads().ok());
-  }
-  ASSERT_EQ(table->storage_stats().sealed_segments, 4u);
-  const std::string before = RowsBytes(table->Scan());
-
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 2u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-
-  // Two segments in different buckets: below compact_min_segments, so
-  // maintenance leaves them; the explicit full merge still works.
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 2u);
-  ASSERT_TRUE(table->CompactPartitions().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 1u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-}
-
-// When every neighbor pair sits in a different bucket the policy must
-// still make progress (smallest adjacent pair) or partitions would
-// fragment forever under a steady small-seal workload.
-TEST(CompactionPolicyTest, SizeTieredFallsBackToSmallestAdjacentPair) {
-  OfflineTableOptions options;
-  options.name = "fallback";
-  options.schema = AllEncodingsSchema();
-  options.entity_column = "key";
-  options.time_column = "event_time";
-  options.seal_rows = 512;  // Above any append: only SealHeads() seals.
-  options.compact_min_segments = 2;
-  options.compaction_policy = CompactionPolicy::kSizeTiered;
-  auto table = OfflineTable::Create(options).value();
-  const SchemaPtr& schema = table->options().schema;
-
-  for (size_t rows : {256, 8}) {  // Two segments, two distinct buckets.
-    ASSERT_TRUE(table->AppendBatch(AllEncodingsRows(schema, rows)).ok());
-    ASSERT_TRUE(table->SealHeads().ok());
-  }
-  ASSERT_EQ(table->storage_stats().sealed_segments, 2u);
-  const std::string before = RowsBytes(table->Scan());
-  ASSERT_TRUE(table->RunMaintenance().ok());
-  EXPECT_EQ(table->storage_stats().sealed_segments, 1u);
-  EXPECT_EQ(RowsBytes(table->Scan()), before);
-}
+// --- Spilled-segment reads ----------------------------------------------
 
 // AsOfBatch gathering across several spilled segments answers exactly
 // what the per-key AsOf path answers, byte for byte.
