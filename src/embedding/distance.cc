@@ -14,6 +14,8 @@
 
 #include "embedding/distance.h"
 
+#include "common/cpu.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define MLFS_DISTANCE_X86 1
@@ -115,11 +117,6 @@ __attribute__((target("avx2,fma"))) float L2SquaredAvx2(const float* a,
     sum += d * d;
   }
   return sum;
-}
-
-bool CpuHasAvx2Fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
 #endif  // MLFS_DISTANCE_X86

@@ -17,6 +17,8 @@
 
 #include "expr/simd_kernels.h"
 
+#include "common/cpu.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define MLFS_VMSIMD_X86 1
@@ -374,11 +376,6 @@ __attribute__((target("avx2"))) double SumF64MaskedAvx2(
     sum += ((null_words[i >> 6] >> (i & 63)) & 1) ? 0.0 : x[i];
   }
   return sum;
-}
-
-bool CpuHasAvx2Fma() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 
 #endif  // MLFS_VMSIMD_X86

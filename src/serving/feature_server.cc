@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -41,6 +42,124 @@ size_t ThreadStripeSeed() {
   return seed;
 }
 
+// Every served feature fills one column of the same shape: per entity,
+// the value or the status that explains its absence (`cells`), and the
+// event time behind the value (`event_times`, kMaxTimestamp if none). A
+// batch keeps its columns back to back, entity i of column j at j * n + i;
+// each Fill*Column appends its column's n cells.
+
+/// Reads each row's `value` and `event_time` cells. Their indices come
+/// once from the first row found: PutBatch forces every row of a view to
+/// the view's schema. Returns FailedPrecondition for a view that is not a
+/// feature view; every entity with a cell then fails with it.
+Status FillViewColumn(const std::string& view, std::vector<StatusOr<Row>> rows,
+                      std::vector<StatusOr<Value>>* cells,
+                      Timestamp* event_times) {
+  Status hit_error;
+  int value_idx = -1, time_idx = -1;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!rows[i].ok()) {
+      cells->emplace_back(rows[i].status());
+      continue;
+    }
+    if (value_idx < 0 && hit_error.ok()) {
+      const Schema& schema = *rows[i]->schema();
+      value_idx = schema.FieldIndex("value");
+      time_idx = schema.FieldIndex("event_time");
+      if (value_idx < 0 || time_idx < 0) {
+        hit_error = Status::FailedPrecondition(
+            "view '" + view + "' is not a materialized feature view");
+      }
+    }
+    if (!hit_error.ok()) {
+      cells->emplace_back(Value::Null());
+      continue;
+    }
+    cells->emplace_back(rows[i]->value(value_idx));
+    event_times[i] = rows[i]->value(time_idx).time_value();
+  }
+  return hit_error;
+}
+
+/// Copies each found vector out of `table` at once: a tiered table's row
+/// pointers only last until this thread's next tiered read.
+void FillEmbeddingColumn(const EmbeddingTable& table,
+                         const std::vector<Value>& entity_keys,
+                         const std::vector<std::string>& string_keys,
+                         std::vector<StatusOr<Value>>* cells,
+                         Timestamp* event_times) {
+  const std::vector<const float*> found = table.MultiGet(string_keys);
+  for (size_t i = 0; i < found.size(); ++i) {
+    if (found[i] == nullptr) {
+      cells->emplace_back(Status::NotFound("no embedding for entity " +
+                                           entity_keys[i].ToString()));
+      continue;
+    }
+    cells->emplace_back(Value::Embedding(
+        std::vector<float>(found[i], found[i] + table.dim())));
+    event_times[i] = table.metadata().created_at;
+  }
+}
+
+/// Evaluates `rows` into the cells at `index`. A failing batch splits at
+/// its first failing row (`err_row`): the rows before it evaluate again on
+/// their own, it takes the error, and the rest continue. So each entity
+/// gets what a row-at-a-time evaluation gives it. A failure tied to no row
+/// goes to every row of the batch.
+void EvalSplit(const Program& program, std::span<const Row* const> rows,
+               std::span<const size_t> index, ExprScratch* scratch,
+               std::span<StatusOr<Value>> cells) {
+  while (!rows.empty()) {
+    const ColumnVector* res = nullptr;
+    size_t err_row = rows.size();
+    Status s = program.EvalBatch(RowPtrBatchSource(program.schema(), rows),
+                                 scratch, &res, &err_row);
+    if (s.ok()) {
+      for (size_t k = 0; k < rows.size(); ++k) {
+        cells[index[k]] = res->GetValue(k);
+      }
+      return;
+    }
+    if (err_row >= rows.size()) {
+      for (size_t k = 0; k < rows.size(); ++k) cells[index[k]] = s;
+      return;
+    }
+    EvalSplit(program, rows.first(err_row), index.first(err_row), scratch,
+              cells);
+    cells[index[err_row]] = std::move(s);
+    rows = rows.subspan(err_row + 1);
+    index = index.subspan(err_row + 1);
+  }
+}
+
+/// Evaluates `program` over each entity's latest source row in `mirror`;
+/// an entity with no row takes the mirror read's status.
+void FillComputedColumn(const Program& program, int time_idx,
+                        const std::vector<StatusOr<Row>>& mirror,
+                        std::vector<StatusOr<Value>>* cells,
+                        Timestamp* event_times) {
+  const size_t begin = cells->size();
+  std::vector<const Row*> rows;
+  std::vector<size_t> index;
+  rows.reserve(mirror.size());
+  index.reserve(mirror.size());
+  for (size_t i = 0; i < mirror.size(); ++i) {
+    if (!mirror[i].ok()) {
+      cells->emplace_back(mirror[i].status());
+      continue;
+    }
+    cells->emplace_back(Value::Null());  // Evaluated below.
+    rows.push_back(&*mirror[i]);
+    index.push_back(i);
+    if (time_idx >= 0) {
+      event_times[i] = mirror[i]->value(time_idx).time_value();
+    }
+  }
+  ExprScratch scratch;
+  EvalSplit(program, rows, index, &scratch,
+            std::span(*cells).subspan(begin));
+}
+
 }  // namespace
 
 FeatureServer::FeatureServer(const OnlineStore* store,
@@ -55,61 +174,61 @@ FeatureServer::FeatureServer(const OnlineStore* store,
       options_(options),
       metrics_(kMetricsStripes) {}
 
-template <typename Refetch>
-void FeatureServer::RetryTransient(StatusOr<Row>* row, const Refetch& refetch,
-                                   uint64_t* retries) const {
-  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
-  for (uint32_t attempt = 1;
-       !row->ok() && IsTransient(row->status()) && attempt < max_attempts;
-       ++attempt) {
-    if (options_.initial_backoff_micros > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          options_.initial_backoff_micros << (attempt - 1)));
-    }
-    ++*retries;
-    *row = refetch();
-  }
-}
-
-EmbeddingTablePtr FeatureServer::ResolveEmbeddingFeature(
+FeatureServer::ResolvedFeature FeatureServer::ResolveFeature(
     const std::string& feature) const {
-  // Online views win: a materialized view named like an embedding keeps
-  // its pre-hydration behavior.
-  if (embeddings_ == nullptr || store_->HasView(feature)) return nullptr;
-  auto table = embeddings_->Resolve(feature);
-  return table.ok() ? *table : nullptr;
-}
-
-std::string FeatureServer::StaleNoteArtifact(const std::string& feature,
-                                             const ArtifactId& artifact) const {
-  if (lineage_ == nullptr) return "";
-  std::optional<StalenessInfo> info = lineage_->StalenessOf(artifact);
-  if (!info.has_value()) return "";
-  return feature + ": " + info->ToString();
-}
-
-std::string FeatureServer::StaleNote(const std::string& feature,
-                                     const EmbeddingTablePtr& table) const {
-  return StaleNoteArtifact(
-      feature, table != nullptr ? EmbeddingArtifact(table->metadata().name,
-                                                    table->metadata().version)
-                                : ViewArtifact(feature));
-}
-
-std::optional<FeatureServer::ComputedFeature>
-FeatureServer::ResolveComputedFeature(const std::string& feature) const {
-  // Materialized views and embeddings win, preserving their pre-registry
-  // serving behavior; request-time evaluation only backs names that
-  // nothing else serves.
-  if (registry_ == nullptr || store_->HasView(feature)) return std::nullopt;
-  if (ResolveEmbeddingFeature(feature) != nullptr) return std::nullopt;
-  StatusOr<RegisteredFeature> reg = registry_->Get(feature);
-  if (!reg.ok()) return std::nullopt;
-  ComputedFeature out;
-  out.reg = std::move(*reg);
-  out.mirror_view = SourceMirrorViewName(out.reg.def.source_table);
-  out.program = CompiledProgramFor(out.reg);
+  ResolvedFeature out;
+  // With neither an embedding store nor a registry every name is a view.
+  const bool view = (embeddings_ == nullptr && registry_ == nullptr) ||
+                    store_->HasView(feature);
+  StatusOr<EmbeddingTablePtr> table = Status::NotFound("");
+  StatusOr<RegisteredFeature> reg = Status::NotFound("");
+  if (!view && embeddings_ != nullptr &&
+      (table = embeddings_->Resolve(feature)).ok()) {
+    out.kind = ResolvedFeature::Kind::kEmbedding;
+    out.table = std::move(*table);
+  } else if (!view && registry_ != nullptr &&
+             (reg = registry_->Get(feature)).ok()) {
+    out.kind = ResolvedFeature::Kind::kComputed;
+    out.program = CompiledProgramFor(*reg);
+    if (out.program != nullptr) {
+      out.time_idx = out.program->schema()->FieldIndex(reg->source_time_column);
+    }
+    out.source_table = reg->def.source_table;
+  }
+  if (lineage_ == nullptr) return out;
+  const ArtifactId artifact =
+      out.kind == ResolvedFeature::Kind::kEmbedding
+          ? EmbeddingArtifact(out.table->metadata().name,
+                              out.table->metadata().version)
+      : out.kind == ResolvedFeature::Kind::kComputed
+          ? FeatureArtifact(reg->def.name, reg->version)
+          : ViewArtifact(feature);
+  if (std::optional<StalenessInfo> info = lineage_->StalenessOf(artifact)) {
+    out.stale_note = feature + ": " + info->ToString();
+  }
   return out;
+}
+
+std::vector<StatusOr<Row>> FeatureServer::FetchRows(
+    const std::string& view, const std::vector<Value>& entity_keys,
+    Timestamp now) const {
+  std::vector<StatusOr<Row>> rows = store_->MultiGet(view, entity_keys, now);
+  const uint32_t max_attempts = std::max<uint32_t>(1, options_.max_attempts);
+  uint64_t retries = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t attempt = 1; attempt < max_attempts && !rows[i].ok() &&
+                               IsTransient(rows[i].status());
+         ++attempt) {
+      if (options_.initial_backoff_micros > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            options_.initial_backoff_micros << (attempt - 1)));
+      }
+      ++retries;
+      rows[i] = store_->Get(view, entity_keys[i], now);
+    }
+  }
+  if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
+  return rows;
 }
 
 std::shared_ptr<const Program> FeatureServer::CompiledProgramFor(
@@ -154,165 +273,71 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
     const std::vector<std::string>& features, Timestamp now) const {
   const double start = NowMicros();
   const size_t n = entity_keys.size();
-  const size_t num_views = features.size();
-  std::vector<StatusOr<FeatureVector>> out(
-      n, StatusOr<FeatureVector>(
-             Status::Internal("GetFeaturesBatch: slot not filled")));
+  std::vector<StatusOr<FeatureVector>> out;
   if (n == 0) return out;
 
-  // Stage 1 — fetch: one shard-grouped MultiGet per requested view, then
-  // per-(entity, feature)-cell retry with backoff for transient errors.
-  std::vector<std::vector<StatusOr<Row>>> columns(num_views);
-  // {value, event_time} field indices per view, from its first live row;
-  // {-1, -1} when the view never produced a row in this batch.
-  std::vector<std::pair<int, int>> layout(num_views, {-1, -1});
-  // Views that hydrate straight from an embedding table: one
-  // EmbeddingTable::MultiGet per view, no online-store traffic. A null
-  // table means view j goes through the online path.
-  struct EmbeddingColumn {
-    EmbeddingTablePtr table;
-    std::vector<const float*> rows;  // Null = missing key.
-    /// Owned copies of the found rows when `table` is tiered: tier
-    /// pointers only survive until the serving thread's next tiered read,
-    /// and assembly (stage 2) runs after other views' fetches.
-    std::vector<float> storage;
-  };
-  std::vector<EmbeddingColumn> emb_columns(num_views);
-  // Per-view staleness annotation, shared by every entity in the batch.
-  std::vector<std::string> stale_notes(num_views);
-
-  // Serving-time computed features: registered definitions with no
-  // materialized view evaluate here, over each entity's latest raw source
-  // row. One shard-grouped mirror-view MultiGet per distinct source table
-  // (shared across computed features of that table), then one vectorized
-  // EvalBatch per feature over the rows found.
-  struct ComputedColumn {
-    std::optional<ComputedFeature> comp;
-    std::vector<StatusOr<Value>> cells;  // Per entity: value or status.
-    std::vector<Timestamp> event_times;  // kMaxTimestamp where not found.
-  };
-  std::vector<ComputedColumn> computed(num_views);
-  std::unordered_map<std::string, std::vector<StatusOr<Row>>> mirror_columns;
-  if (registry_ != nullptr) {
-    for (size_t j = 0; j < num_views; ++j) {
-      computed[j].comp = ResolveComputedFeature(features[j]);
-      if (!computed[j].comp.has_value()) continue;
-      stale_notes[j] = StaleNoteArtifact(
-          features[j], FeatureArtifact(computed[j].comp->reg.def.name,
-                                       computed[j].comp->reg.version));
-      if (computed[j].comp->program != nullptr) {
-        mirror_columns.try_emplace(computed[j].comp->mirror_view);
+  // Fetch: resolve each feature once and fill its column.
+  const size_t num_features = features.size();
+  std::vector<StatusOr<Value>> cells;
+  cells.reserve(num_features * n);
+  std::vector<Timestamp> event_times(num_features * n, kMaxTimestamp);
+  std::vector<Status> hit_errors(num_features);
+  std::vector<std::string> stale;  // Shared by every entity in the batch.
+  std::vector<std::string> string_keys;  // Embedding lookups; built once.
+  // Mirror-view rows per source table, shared by its computed features.
+  std::vector<std::pair<std::string, std::vector<StatusOr<Row>>>> mirrors;
+  for (size_t j = 0; j < num_features; ++j) {
+    ResolvedFeature feature = ResolveFeature(features[j]);
+    if (!feature.stale_note.empty()) {
+      stale.push_back(std::move(feature.stale_note));
+    }
+    Timestamp* times = event_times.data() + j * n;
+    switch (feature.kind) {
+      case ResolvedFeature::Kind::kView:
+        hit_errors[j] = FillViewColumn(
+            features[j], FetchRows(features[j], entity_keys, now), &cells,
+            times);
+        break;
+      case ResolvedFeature::Kind::kEmbedding:
+        if (string_keys.empty()) {
+          // Non-string keys keep "", which no table key matches (embedding
+          // keys are non-empty by construction): a plain miss.
+          string_keys.resize(n);
+          for (size_t i = 0; i < n; ++i) {
+            if (entity_keys[i].type() == FeatureType::kString) {
+              string_keys[i] = entity_keys[i].string_value();
+            }
+          }
+        }
+        FillEmbeddingColumn(*feature.table, entity_keys, string_keys, &cells,
+                            times);
+        break;
+      case ResolvedFeature::Kind::kComputed: {
+        if (feature.program == nullptr) {
+          cells.insert(cells.end(), n,
+                       Status::NotFound("no source rows ingested for '" +
+                                        feature.source_table + "'"));
+          break;
+        }
+        const std::string mirror = SourceMirrorViewName(feature.source_table);
+        auto it = std::find_if(
+            mirrors.begin(), mirrors.end(),
+            [&](const auto& m) { return m.first == mirror; });
+        if (it == mirrors.end()) {
+          mirrors.emplace_back(mirror, FetchRows(mirror, entity_keys, now));
+          it = mirrors.end() - 1;
+        }
+        FillComputedColumn(*feature.program, feature.time_idx, it->second,
+                           &cells, times);
+        break;
       }
     }
-    for (auto& [view, column] : mirror_columns) {
-      column = store_->MultiGet(view, entity_keys, now);
-      uint64_t retries = 0;
-      for (size_t i = 0; i < n; ++i) {
-        RetryTransient(
-            &column[i], [&] { return store_->Get(view, entity_keys[i], now); },
-            &retries);
-      }
-      if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
-    }
-    for (size_t j = 0; j < num_views; ++j) {
-      ComputedColumn& cc = computed[j];
-      if (!cc.comp.has_value()) continue;
-      const Program* program = cc.comp->program.get();
-      cc.cells.assign(
-          n, StatusOr<Value>(Status::NotFound(
-                 "no source rows ingested for '" +
-                 cc.comp->reg.def.source_table + "'")));
-      cc.event_times.assign(n, kMaxTimestamp);
-      if (program == nullptr) continue;  // Mirror view does not exist yet.
-      const std::vector<StatusOr<Row>>& mirror =
-          mirror_columns[cc.comp->mirror_view];
-      std::vector<const Row*> rows;
-      std::vector<size_t> row_index;
-      rows.reserve(n);
-      row_index.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!mirror[i].ok()) {
-          cc.cells[i] = mirror[i].status();
-          continue;
-        }
-        rows.push_back(&*mirror[i]);
-        row_index.push_back(i);
-      }
-      if (rows.empty()) continue;
-      ExprScratch scratch;
-      RowPtrBatchSource batch_src(program->schema(), rows);
-      const ColumnVector* res = nullptr;
-      if (Status batch = program->EvalBatch(batch_src, &scratch, &res);
-          batch.ok()) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.cells[row_index[k]] = res->GetValue(k);
-        }
-      } else {
-        // One failing row poisons the whole batch result; re-run the
-        // found rows one at a time so each entity carries its own status
-        // (bit-identical — EvalBatch reports what EvalRow would).
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.cells[row_index[k]] = program->EvalRow(*rows[k], &scratch);
-        }
-      }
-      const int time_idx = program->schema()->FieldIndex(
-          cc.comp->reg.source_time_column);
-      if (time_idx >= 0) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          cc.event_times[row_index[k]] =
-              rows[k]->value(time_idx).time_value();
-        }
-      }
-    }
+    MLFS_DCHECK(cells.size() == (j + 1) * n);
   }
 
-  for (size_t j = 0; j < num_views; ++j) {
-    if (computed[j].comp.has_value()) continue;  // Evaluated above.
-    if (EmbeddingTablePtr table = ResolveEmbeddingFeature(features[j])) {
-      EmbeddingColumn& emb = emb_columns[j];
-      emb.table = std::move(table);
-      stale_notes[j] = StaleNote(features[j], emb.table);
-      std::vector<std::string> string_keys(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (entity_keys[i].type() == FeatureType::kString) {
-          string_keys[i] = entity_keys[i].string_value();
-        }
-        // Non-string keys keep "", which no table key matches (embedding
-        // keys are non-empty by construction) — a plain miss.
-      }
-      emb.rows = emb.table->MultiGet(string_keys);
-      if (emb.table->tiered()) {
-        const size_t dim = emb.table->dim();
-        emb.storage.resize(n * dim);
-        for (size_t i = 0; i < n; ++i) {
-          if (emb.rows[i] == nullptr) continue;
-          float* dst = emb.storage.data() + i * dim;
-          std::copy(emb.rows[i], emb.rows[i] + dim, dst);
-          emb.rows[i] = dst;
-        }
-      }
-      continue;
-    }
-    stale_notes[j] = StaleNote(features[j], nullptr);
-    std::vector<StatusOr<Row>>& column = columns[j];
-    column = store_->MultiGet(features[j], entity_keys, now);
-    uint64_t retries = 0;
-    for (size_t i = 0; i < n; ++i) {
-      StatusOr<Row>& cell = column[i];
-      RetryTransient(
-          &cell, [&] { return store_->Get(features[j], entity_keys[i], now); },
-          &retries);
-      if (cell.ok() && layout[j].first < 0) {
-        layout[j] = {cell->schema()->FieldIndex("value"),
-                     cell->schema()->FieldIndex("event_time")};
-      }
-    }
-    if (retries) retries_.fetch_add(retries, std::memory_order_relaxed);
-  }
-
-  // Stage 2 — assemble one FeatureVector per entity from the fetched
-  // columns. Entities fail independently: kError fails only the entity
-  // whose feature is unavailable.
+  // Assemble one FeatureVector per entity. Entities fail independently:
+  // kError fails only the entity whose feature is unavailable.
+  out.reserve(n);
   const bool any_failpoint = FailpointRegistry::Instance().AnyArmed();
   uint64_t degraded_features = 0, degraded_responses = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -321,93 +346,46 @@ std::vector<StatusOr<FeatureVector>> FeatureServer::GetFeaturesBatch(
       Status injected =
           FailpointRegistry::Instance().Evaluate("feature_server.get");
       if (!injected.ok()) {
-        out[i] = std::move(injected);
+        out.push_back(std::move(injected));
         continue;
       }
     }
     FeatureVector fv;
     fv.names = features;
-    fv.values.reserve(num_views);
-    for (size_t j = 0; j < num_views; ++j) {
-      if (!stale_notes[j].empty()) fv.stale.push_back(stale_notes[j]);
-    }
+    fv.values.reserve(num_features);
+    fv.stale = stale;
     Status entity_error;
-    for (size_t j = 0; j < num_views; ++j) {
-      if (emb_columns[j].table != nullptr) {
-        const EmbeddingColumn& emb = emb_columns[j];
-        const float* vec = emb.rows[i];
-        if (vec == nullptr) {
-          if (options_.missing_policy == MissingFeaturePolicy::kError) {
-            entity_error = Status::NotFound(
-                "feature '" + features[j] +
-                "' unavailable: no embedding for entity " +
-                entity_keys[i].ToString());
-            break;
-          }
-          fv.values.push_back(Value::Null());
-          ++fv.missing;
-          continue;
-        }
-        fv.values.push_back(Value::Embedding(
-            std::vector<float>(vec, vec + emb.table->dim())));
-        fv.oldest_event_time = std::min(fv.oldest_event_time,
-                                        emb.table->metadata().created_at);
-        continue;
-      }
-      if (computed[j].comp.has_value()) {
-        const StatusOr<Value>& cell = computed[j].cells[i];
-        if (!cell.ok()) {
-          const bool transient = IsTransient(cell.status());
-          if (options_.missing_policy == MissingFeaturePolicy::kError) {
-            entity_error =
-                Status::NotFound("feature '" + features[j] +
-                                 "' unavailable: " + cell.status().message());
-            break;
-          }
-          fv.values.push_back(Value::Null());
-          ++fv.missing;
-          if (transient) ++fv.degraded;
-          continue;
-        }
-        // A NULL evaluation result is the feature's value, not a miss.
-        fv.values.push_back(*cell);
-        fv.oldest_event_time =
-            std::min(fv.oldest_event_time, computed[j].event_times[i]);
-        continue;
-      }
-      const StatusOr<Row>& cell = columns[j][i];
-      if (!cell.ok()) {
-        const bool transient = IsTransient(cell.status());
-        if (options_.missing_policy == MissingFeaturePolicy::kError) {
-          entity_error =
-              Status::NotFound("feature '" + features[j] +
-                               "' unavailable: " + cell.status().message());
+    for (size_t j = 0; j < num_features; ++j) {
+      StatusOr<Value>& cell = cells[j * n + i];
+      if (cell.ok()) {
+        if (!hit_errors[j].ok()) {
+          entity_error = hit_errors[j];
           break;
         }
-        fv.values.push_back(Value::Null());
-        ++fv.missing;
-        if (transient) ++fv.degraded;
+        fv.values.push_back(std::move(*cell));
+        fv.oldest_event_time =
+            std::min(fv.oldest_event_time, event_times[j * n + i]);
         continue;
       }
-      const auto [value_idx, time_idx] = layout[j];
-      if (value_idx < 0 || time_idx < 0) {
-        entity_error = Status::FailedPrecondition(
-            "view '" + features[j] + "' is not a materialized feature view");
+      const Status cause = cell.status();
+      if (options_.missing_policy == MissingFeaturePolicy::kError) {
+        entity_error = Status::NotFound("feature '" + features[j] +
+                                        "' unavailable: " + cause.message());
         break;
       }
-      fv.values.push_back(cell->value(value_idx));
-      fv.oldest_event_time =
-          std::min(fv.oldest_event_time, cell->value(time_idx).time_value());
+      fv.values.push_back(Value::Null());
+      ++fv.missing;
+      if (IsTransient(cause)) ++fv.degraded;
     }
     if (!entity_error.ok()) {
-      out[i] = std::move(entity_error);
+      out.push_back(std::move(entity_error));
       continue;
     }
     if (fv.degraded > 0) {
       degraded_features += fv.degraded;
       ++degraded_responses;
     }
-    out[i] = std::move(fv);
+    out.push_back(std::move(fv));
   }
   if (degraded_features > 0) {
     degraded_features_.fetch_add(degraded_features, std::memory_order_relaxed);

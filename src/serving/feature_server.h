@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,54 +65,52 @@ struct FeatureVector {
   /// a transient store error (graceful degradation), rather than a miss.
   uint64_t degraded = 0;
   /// Staleness annotations, one "<feature>: <why>" entry per requested
-  /// feature whose serving artifact (online view or embedding table) is
-  /// marked stale in the lineage graph. Empty = everything served fresh.
+  /// feature whose serving artifact (online view, embedding version or
+  /// feature version) is marked stale in the lineage graph. Empty =
+  /// everything served fresh.
   std::vector<std::string> stale;
 };
 
 /// Low-latency online feature serving: assembles per-entity feature
-/// vectors from materialized online views ("features need to be
-/// continuously provided to deployed models", paper §2.2.2). Each
-/// requested feature name must be an online view produced by the
-/// materializer (schema {entity, event_time, value}).
+/// vectors ("features need to be continuously provided to deployed
+/// models", paper §2.2.2). GetFeaturesBatch is the one serving path;
+/// GetFeatures is a batch of one. A batch runs in two steps.
+///
+/// Fetch. Each requested feature is resolved once per batch, in this
+/// order of precedence:
+///  1. An online view produced by the materializer (schema {entity,
+///     event_time, value}): one shard-grouped OnlineStore::MultiGet.
+///  2. A registered embedding (bare name or "name@vK"), when constructed
+///     with an EmbeddingStore: one EmbeddingTable::MultiGet, so embedding
+///     features (§3.1.2) are served without being copied into the online
+///     store first. Entity keys must be strings; other key types miss.
+///  3. A registered feature, when constructed with a FeatureRegistry: its
+///     published definition is evaluated at request time over each
+///     entity's latest raw source row, read from the table's mirror view
+///     (written by FeatureStore::Ingest; see SourceMirrorViewName) with
+///     one MultiGet per source table per batch and one vectorized
+///     EvalBatch. Programs are compiled once per definition version.
+///     NULL/error semantics match offline materialization exactly (the
+///     same compiled program evaluates both sides), and a NULL result is
+///     a value, not a miss.
+/// Any other name is read as an online view and misses. Every kind fills
+/// a column of the same shape: per entity, the value or the status that
+/// explains its absence, and the event time behind the value (an
+/// embedding's is its table's created_at).
+///
+/// Assemble. One loop builds each entity's FeatureVector from the columns
+/// with one missing-feature rule: kNull fills NULL, kError fails only that
+/// entity. A view that is not a feature view fails, under both policies,
+/// the entities it has a cell for.
 ///
 /// Transient store errors (as injected by failpoints, or surfaced by a
-/// future disk/remote backend) are retried up to options.max_attempts with
-/// exponential backoff; when retries are exhausted the server degrades
-/// gracefully per MissingFeaturePolicy instead of failing the request
+/// future disk/remote backend) are retried per (entity, feature) cell up
+/// to options.max_attempts with exponential backoff; when retries are
+/// exhausted the server degrades gracefully per MissingFeaturePolicy
 /// (kNull fills NULL so the model can impute). stats() exposes
-/// retry/degradation counters for alerting.
-///
-/// GetFeaturesBatch is the one serving path: it issues one shard-grouped
-/// OnlineStore::MultiGet per requested view (views × one store call,
-/// instead of entities × features point Gets) and retries transient errors
-/// per (entity, feature) cell. Results are per-entity: one entity failing
-/// under kError does not fail its batch-mates. GetFeatures is a batch of
-/// one.
-///
-/// When constructed with an EmbeddingStore, a requested feature that is
-/// not an online view but names a registered embedding (bare name or
-/// "name@vK") hydrates straight from the embedding table — one
-/// EmbeddingTable::MultiGet per view per batch — so embedding features
-/// ride the batched serving path without being copied row-by-row into the
-/// online store first. Entity keys must be strings for embedding
-/// hydration (embedding tables key by string); other key types miss.
-///
-/// When constructed with a FeatureRegistry, a requested feature that is
-/// neither an online view nor an embedding but *is* registered evaluates
-/// its definition at request time: the server fetches each entity's
-/// latest raw source row from the table's mirror view (written by
-/// FeatureStore::Ingest; see SourceMirrorViewName) with the same
-/// shard-grouped MultiGet the view path uses, then runs the published
-/// expression through the bytecode VM vector-at-a-time over the found
-/// rows. Programs are compiled once per definition version and cached;
-/// mirror fetches for computed features sharing a source table are
-/// issued once per table per batch. NULL/error semantics match offline
-/// materialization exactly (the same compiled program evaluates both
-/// sides), so a served computed value is byte-identical to what the
-/// materializer would have logged for that input row. A feature whose
-/// latest version is marked stale in the lineage graph carries the same
-/// staleness annotation the view path produces.
+/// retry/degradation counters for alerting. A feature whose serving
+/// artifact (view, embedding version or feature version) is marked stale
+/// in the lineage graph is still served, with a staleness annotation.
 ///
 /// Thread-safe. Latency of every request is recorded (wall-clock
 /// microseconds) in latency_histogram() — the one place MLFS uses real
@@ -146,9 +143,10 @@ class FeatureServer {
 
   /// Batched variant; entry i is entity_keys[i]'s result. Entries fail
   /// independently (under kError a missing feature fails only that
-  /// entity's entry; a non-feature view fails every entry with
-  /// FailedPrecondition). Each entity counts as one request and records
-  /// one latency sample (the batch's amortized per-entity latency).
+  /// entity's entry; a non-feature view fails every entry it has a cell
+  /// for with FailedPrecondition). Each entity counts as one request and
+  /// records one latency sample (the batch's amortized per-entity
+  /// latency).
   std::vector<StatusOr<FeatureVector>> GetFeaturesBatch(
       const std::vector<Value>& entity_keys,
       const std::vector<std::string>& features, Timestamp now) const;
@@ -176,47 +174,38 @@ class FeatureServer {
 
   void RecordLatency(double micros, uint64_t num_requests) const;
 
-  /// Re-issues `refetch` while `*row` holds a transient error, up to
-  /// options_.max_attempts attempts in all, sleeping
-  /// initial_backoff_micros << (attempt - 1) before each; every re-issue
-  /// adds one to `*retries`.
-  template <typename Refetch>
-  void RetryTransient(StatusOr<Row>* row, const Refetch& refetch,
-                      uint64_t* retries) const;
-
-  /// Resolved embedding table for a requested feature name, or null when
-  /// the name should go through the online-view path.
-  EmbeddingTablePtr ResolveEmbeddingFeature(const std::string& feature) const;
-
-  /// A feature served by evaluating its published definition at request
-  /// time against the source table's mirror view.
-  struct ComputedFeature {
-    RegisteredFeature reg;
-    std::string mirror_view;
-    /// Compiled against the mirror view's schema; null until the mirror
-    /// view exists (no ingest yet), in which case every entity misses.
+  /// How one requested feature is served, decided once per batch.
+  struct ResolvedFeature {
+    enum class Kind : uint8_t { kView, kEmbedding, kComputed };
+    Kind kind = Kind::kView;
+    /// kEmbedding: the resolved table version.
+    EmbeddingTablePtr table;
+    /// kComputed: the definition's source table, and its program compiled
+    /// against the table's mirror view. The program is null until the
+    /// mirror view exists (no ingest yet); then every entity misses.
+    std::string source_table;
     std::shared_ptr<const Program> program;
+    /// kComputed: the source time column's index in the program's schema.
+    int time_idx = -1;
+    /// "<feature>: <why>" when the serving artifact is marked stale.
+    std::string stale_note;
   };
 
-  /// Resolves `feature` as serving-time computed: registered in
-  /// `registry_`, not an online view, not an embedding. nullopt sends the
-  /// name down the other paths.
-  std::optional<ComputedFeature> ResolveComputedFeature(
-      const std::string& feature) const;
+  /// Resolves `feature` by the precedence rule: online view, then
+  /// embedding, then registered computed feature, then (missing) view.
+  ResolvedFeature ResolveFeature(const std::string& feature) const;
+
+  /// OnlineStore::MultiGet of `view`, with each cell that failed
+  /// transiently re-read up to options_.max_attempts attempts in all,
+  /// sleeping initial_backoff_micros << (attempt - 1) before each; every
+  /// re-read counts in retries_.
+  std::vector<StatusOr<Row>> FetchRows(const std::string& view,
+                                       const std::vector<Value>& entity_keys,
+                                       Timestamp now) const;
 
   /// Cached (compiling on first use) program for `reg`, keyed "name@vN".
   std::shared_ptr<const Program> CompiledProgramFor(
       const RegisteredFeature& reg) const;
-
-  /// "<feature>: <why>" when `artifact` is marked stale ("" otherwise).
-  std::string StaleNoteArtifact(const std::string& feature,
-                                const ArtifactId& artifact) const;
-
-  /// As above for the view/embedding serving artifact behind `feature`.
-  /// `table` is the resolved embedding table, or null for the online-view
-  /// path.
-  std::string StaleNote(const std::string& feature,
-                        const EmbeddingTablePtr& table) const;
 
   const OnlineStore* store_;            // Not owned.
   const EmbeddingStore* embeddings_;    // Not owned; may be null.

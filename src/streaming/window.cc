@@ -114,12 +114,15 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
   // every batch evaluation have succeeded; the first failing event (at
   // chunk position `fail_pos`) is found on the way, so a failure applies
   // exactly the events before it and leaves no trace of it.
-  std::vector<const Row*> live;
-  std::vector<Timestamp> live_ts;
-  std::vector<std::string> live_keys;
-  live.reserve(chunk.size());
-  live_ts.reserve(chunk.size());
-  live_keys.reserve(chunk.size());
+  // The scratch vectors are members reused across chunks, so a one-event
+  // chunk does not allocate them again. The recursive call on failure
+  // below reuses them too; nothing reads them after it.
+  live_.clear();
+  live_ts_.clear();
+  live_keys_.clear();
+  live_.reserve(chunk.size());
+  live_ts_.reserve(chunk.size());
+  live_keys_.reserve(chunk.size());
   Timestamp wm = watermark_;
   Timestamp max_t = max_event_time_;
   uint64_t dropped = 0;
@@ -149,9 +152,9 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
       fail_pos = p;
       break;
     }
-    live.push_back(&event);
-    live_ts.push_back(t);
-    live_keys.push_back(std::move(key).value());
+    live_.push_back(&event);
+    live_ts_.push_back(t);
+    live_keys_.push_back(std::move(key).value());
     max_t = std::max(max_t, t);
     if (max_t - allowed_lateness_ > wm) wm = max_t - allowed_lateness_;
   }
@@ -160,15 +163,15 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
   // event falls in. An input's failure maps back to the first failing
   // event; across inputs the earliest event wins, then the lowest
   // aggregation, which is the order a per-event loop evaluates them in.
-  std::vector<const ColumnVector*> cols(inputs_.size(), nullptr);
-  if (!live.empty()) {
-    RowPtrBatchSource src(schema_, live);
+  cols_.assign(inputs_.size(), nullptr);
+  if (!live_.empty()) {
+    RowPtrBatchSource src(schema_, live_);
     for (size_t i = 0; i < inputs_.size(); ++i) {
       if (inputs_[i] == nullptr) continue;
       size_t err_row = 0;  // A failure tied to no row fails the first.
-      Status s = inputs_[i]->EvalBatch(src, &scratch_[i], &cols[i], &err_row);
+      Status s = inputs_[i]->EvalBatch(src, &scratch_[i], &cols_[i], &err_row);
       if (s.ok()) continue;
-      const size_t pos = static_cast<size_t>(live[err_row] - chunk.data());
+      const size_t pos = static_cast<size_t>(live_[err_row] - chunk.data());
       if (pos < fail_pos) {
         fail = std::move(s);
         fail_pos = pos;
@@ -179,9 +182,9 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
     if (fail_pos > 0) MLFS_RETURN_IF_ERROR(ProcessChunk(chunk.first(fail_pos)));
     return fail;
   }
-  for (size_t r = 0; r < live.size(); ++r) {
-    const Timestamp t = live_ts[r];
-    const std::string& key = live_keys[r];
+  for (size_t r = 0; r < live_.size(); ++r) {
+    const Timestamp t = live_ts_[r];
+    const std::string& key = live_keys_[r];
     for (Timestamp start = FirstWindowStartFor(t); start <= t;
          start += window_.slide) {
       EntityState& state = [&]() -> EntityState& {
@@ -200,7 +203,7 @@ Status WindowedAggregator::ProcessChunk(std::span<const Row> chunk) {
           state.aggs[i]->Add(Value::Bool(true));  // Count the event.
           continue;
         }
-        state.aggs[i]->Add(cols[i]->GetValue(r));
+        state.aggs[i]->Add(cols_[i]->GetValue(r));
       }
     }
   }

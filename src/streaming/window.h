@@ -123,6 +123,12 @@ class WindowedAggregator {
   // vector stays live while the others evaluate over the same chunk.
   std::vector<ExprScratch> scratch_;
   Timestamp allowed_lateness_;
+  // ProcessChunk's scratch: the chunk's surviving events with their times
+  // and canonical keys, and each input's result column.
+  std::vector<const Row*> live_;
+  std::vector<Timestamp> live_ts_;
+  std::vector<std::string> live_keys_;
+  std::vector<const ColumnVector*> cols_;
 
   WindowMap open_;
   std::vector<WindowResult> ready_;

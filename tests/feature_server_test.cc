@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <tuple>
+#include <unistd.h>
+
 #include "common/failpoint.h"
+#include "core/feature_store.h"
 #include "embedding/embedding_store.h"
 
 namespace mlfs {
@@ -444,6 +450,227 @@ TEST_F(FeatureServerEmbeddingTest, BatchErrorPolicyFailsOnlyMissingEntity) {
       {Value::String("u1"), Value::String("ghost")}, {"user_emb"}, Hours(6));
   ASSERT_TRUE(batch[0].ok()) << batch[0].status();
   EXPECT_TRUE(batch[1].status().IsNotFound());
+}
+
+/// One request that mixes every kind of served feature — an online view, a
+/// computed feature and two tiered embeddings — must give each feature
+/// exactly what a request for that feature alone gives. The hot budget is
+/// too small for any block, so both embeddings serve every row cold: the
+/// second embedding's lookup reuses the tier's decode buffer that the
+/// first one's row pointers point into.
+class FeatureServerMixedKindTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("mlfs_mixed_" + std::to_string(::getpid())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    FeatureStoreOptions options;
+    options.embedding_tiering.memory_budget_bytes = 1;
+    options.embedding_tiering.block_rows = 4;
+    options.embedding_tiering.spill_dir = dir_;
+    store_ = std::make_unique<FeatureStore>(options);
+
+    SchemaPtr source = Schema::Create(
+                           {{"user", FeatureType::kString, false},
+                            {"event_time", FeatureType::kTimestamp, false},
+                            {"n", FeatureType::kInt64, true}})
+                           .value();
+    OfflineTableOptions table;
+    table.name = "clicks";
+    table.schema = source;
+    table.entity_column = "user";
+    table.time_column = "event_time";
+    ASSERT_TRUE(store_->CreateSourceTable(table).ok());
+    std::vector<Row> rows;
+    // "u3" has no source row; "u2"'s n is NULL, so its value is NULL.
+    for (const auto& [user, hours, n] :
+         std::vector<std::tuple<std::string, int, Value>>{
+             {"u0", 2, Value::Int64(5)},
+             {"u1", 4, Value::Int64(-3)},
+             {"u2", 3, Value::Null()},
+             {"u4", 1, Value::Int64(8)}}) {
+      rows.push_back(Row::Create(source, {Value::String(user),
+                                          Value::Time(Hours(hours)),
+                                          std::move(n)})
+                         .value());
+    }
+    ASSERT_TRUE(store_->Ingest("clicks", rows).ok());
+    ASSERT_TRUE(store_->PublishFeature(Def("clicks_x2", "n * 2")).ok());
+
+    SchemaPtr view = Schema::Create(
+                         {{"entity", FeatureType::kString, false},
+                          {"event_time", FeatureType::kTimestamp, false},
+                          {"value", FeatureType::kDouble, true}})
+                         .value();
+    ASSERT_TRUE(store_->online().CreateView("score", view).ok());
+    for (const auto& [user, minutes] :
+         std::vector<std::pair<std::string, int>>{
+             {"u0", 30}, {"u2", 300}, {"u3", 90}}) {
+      Row row = Row::Create(view, {Value::String(user),
+                                   Value::Time(Minutes(minutes)),
+                                   Value::Double(minutes / 7.0)})
+                    .value();
+      ASSERT_TRUE(store_->online()
+                      .Put("score", Value::String(user), row,
+                           Minutes(minutes), Minutes(minutes))
+                      .ok());
+    }
+
+    // emb_a misses "u1", emb_b misses "u0"; both miss "ghost".
+    ASSERT_TRUE(store_->RegisterEmbedding(Table("emb_a", {"u0", "u2", "u3",
+                                                          "u4", "x5", "x6"},
+                                                1.0f))
+                    .ok());
+    ASSERT_TRUE(store_->RegisterEmbedding(Table("emb_b", {"u1", "u2", "u3",
+                                                          "u4", "y5", "y6"},
+                                                -2.0f))
+                    .ok());
+    ASSERT_TRUE(store_->embeddings().GetLatest("emb_a").value()->tiered());
+    ASSERT_TRUE(store_->embeddings().GetLatest("emb_b").value()->tiered());
+    // A registered feature named like an embedding: the embedding wins.
+    ASSERT_TRUE(store_->PublishFeature(Def("emb_a", "n + 1")).ok());
+    // Stale notes from two kinds.
+    ASSERT_TRUE(store_->DeprecateFeature("clicks_x2").ok());
+    ASSERT_TRUE(store_->DeprecateEmbedding("emb_b").ok());
+  }
+
+  void TearDown() override {
+    store_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  static FeatureDefinition Def(const std::string& name,
+                               const std::string& expression) {
+    FeatureDefinition def;
+    def.name = name;
+    def.entity = "user";
+    def.source_table = "clicks";
+    def.expression = expression;
+    return def;
+  }
+
+  static EmbeddingTablePtr Table(const std::string& name,
+                                 const std::vector<std::string>& keys,
+                                 float scale) {
+    const size_t dim = 5;
+    std::vector<float> data(keys.size() * dim);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = scale * static_cast<float>(i * i % 17) / 3.0f;
+    }
+    EmbeddingTableMetadata metadata;
+    metadata.name = name;
+    return EmbeddingTable::Create(metadata, keys, data, dim).value();
+  }
+
+  FeatureServer Server(MissingFeaturePolicy policy) {
+    FeatureServerOptions options;
+    options.missing_policy = policy;
+    return FeatureServer(&store_->online(), options, &store_->embeddings(),
+                         &store_->lineage(), &store_->registry());
+  }
+
+  std::string dir_;
+  std::unique_ptr<FeatureStore> store_;
+};
+
+TEST_F(FeatureServerMixedKindTest, EveryKindMatchesItsSingleKindRequest) {
+  const std::vector<Value> keys = {
+      Value::String("u0"), Value::String("u1"), Value::String("u2"),
+      Value::String("u3"), Value::String("u4"), Value::String("ghost")};
+  const std::vector<std::string> features = {"emb_a", "score", "clicks_x2",
+                                             "emb_b"};
+  const Timestamp now = store_->clock().now();
+  for (MissingFeaturePolicy policy :
+       {MissingFeaturePolicy::kNull, MissingFeaturePolicy::kError}) {
+    FeatureServer server = Server(policy);
+    auto mixed = server.GetFeaturesBatch(keys, features, now);
+    ASSERT_EQ(mixed.size(), keys.size());
+    std::vector<std::vector<StatusOr<FeatureVector>>> single;
+    for (const std::string& f : features) {
+      single.push_back(server.GetFeaturesBatch(keys, {f}, now));
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      SCOPED_TRACE(keys[i].ToString());
+      // The first failing feature, in request order, decides the status.
+      Status first_error;
+      for (size_t j = 0; j < features.size() && first_error.ok(); ++j) {
+        if (!single[j][i].ok()) first_error = single[j][i].status();
+      }
+      if (!first_error.ok()) {
+        ASSERT_EQ(policy, MissingFeaturePolicy::kError);
+        EXPECT_EQ(mixed[i].status(), first_error);
+        continue;
+      }
+      ASSERT_TRUE(mixed[i].ok()) << mixed[i].status();
+      EXPECT_EQ(mixed[i]->names, features);
+      ASSERT_EQ(mixed[i]->values.size(), features.size());
+      Timestamp oldest = kMaxTimestamp;
+      uint64_t missing = 0, degraded = 0;
+      std::vector<std::string> stale;
+      for (size_t j = 0; j < features.size(); ++j) {
+        const FeatureVector& one = *single[j][i];
+        EXPECT_EQ(mixed[i]->values[j], one.values[0]) << features[j];
+        oldest = std::min(oldest, one.oldest_event_time);
+        missing += one.missing;
+        degraded += one.degraded;
+        stale.insert(stale.end(), one.stale.begin(), one.stale.end());
+      }
+      EXPECT_EQ(mixed[i]->oldest_event_time, oldest);
+      EXPECT_EQ(mixed[i]->missing, missing);
+      EXPECT_EQ(mixed[i]->degraded, degraded);
+      EXPECT_EQ(mixed[i]->stale, stale);
+    }
+    if (policy == MissingFeaturePolicy::kNull) {
+      // The entity that misses in every kind is all NULL.
+      ASSERT_TRUE(mixed.back().ok());
+      EXPECT_EQ(mixed.back()->missing, features.size());
+      EXPECT_EQ(mixed.back()->oldest_event_time, kMaxTimestamp);
+      EXPECT_EQ(mixed.back()->stale.size(), 2u);
+    } else {
+      EXPECT_TRUE(mixed.back().status().IsNotFound());
+    }
+  }
+
+  // Precedence: "emb_a" serves the embedding, exactly as a server that
+  // knows no registered features serves it.
+  FeatureServer embeddings_only(&store_->online(), {}, &store_->embeddings());
+  auto want = embeddings_only.GetFeaturesBatch(keys, {"emb_a"}, now);
+  auto got = Server(MissingFeaturePolicy::kNull)
+                 .GetFeaturesBatch(keys, features, now);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(want[i].ok());
+    ASSERT_TRUE(got[i].ok());
+    EXPECT_EQ(got[i]->values[0], want[i]->values[0]) << i;
+  }
+  ASSERT_EQ(got[0]->values[0].type(), FeatureType::kEmbedding);
+  EXPECT_TRUE(got[1]->values[0].is_null());  // emb_a has no "u1".
+  EmbeddingStoreTierStats tiers = store_->embeddings().TierStats();
+  EXPECT_EQ(tiers.tier.hot_hits, 0u);
+  EXPECT_GT(tiers.tier.cold_misses, 0u);
+
+  // A view that is not a feature view fails, under both policies, only
+  // the entities it has a cell for; the others see a plain miss.
+  SchemaPtr raw = Schema::Create({{"x", FeatureType::kInt64, true}}).value();
+  ASSERT_TRUE(store_->online().CreateView("raw", raw).ok());
+  ASSERT_TRUE(store_->online()
+                  .Put("raw", Value::String("u3"),
+                       Row::Create(raw, {Value::Int64(1)}).value(), 0, 0)
+                  .ok());
+  const std::vector<Value> raw_keys = {Value::String("u0"),
+                                       Value::String("u3"),
+                                       Value::String("u4")};
+  auto lenient = Server(MissingFeaturePolicy::kNull)
+                     .GetFeaturesBatch(raw_keys, {"emb_a", "raw"}, now);
+  auto strict = Server(MissingFeaturePolicy::kError)
+                    .GetFeaturesBatch(raw_keys, {"emb_a", "raw"}, now);
+  EXPECT_TRUE(lenient[1].status().IsFailedPrecondition());
+  EXPECT_TRUE(strict[1].status().IsFailedPrecondition());
+  for (size_t i : {0, 2}) {
+    ASSERT_TRUE(lenient[i].ok()) << lenient[i].status();
+    EXPECT_EQ(lenient[i]->missing, 1u);
+    EXPECT_TRUE(strict[i].status().IsNotFound());
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -282,6 +283,65 @@ TEST_F(ServingComputeTest, EvalErrorMatchesOfflineStatusUnderBothPolicies) {
       << cells.status();
   ASSERT_TRUE(batch[1].ok()) << batch[1].status();  // NULL value, no error.
   EXPECT_TRUE(batch[1]->values[0].is_null());
+
+  // One batch with failing rows interleaved with good ones, the first and
+  // the last included, and an entity with no source row: each entity gets
+  // exactly what evaluating its own row gives.
+  const std::string row_expression = "clamp(spend, trips_7d, trips_30d)";
+  ASSERT_TRUE(store_.PublishFeature(Def("row_clamp", row_expression)).ok());
+  CompiledExpr row_expr =
+      CompiledExpr::Compile(row_expression, schema_).value();
+  std::map<int64_t, Row> source_rows;
+  // {user, trips_7d (lo), trips_30d (hi)}; lo > hi fails the row.
+  for (const auto& [user, lo, hi] :
+       std::vector<std::tuple<int64_t, Value, Value>>{
+           {10, Value::Int64(5), Value::Int64(1)},
+           {11, Value::Int64(0), Value::Int64(9)},
+           {12, Value::Int64(3), Value::Int64(2)},
+           {13, Value::Int64(7), Value::Int64(4)},
+           {14, Value::Int64(1), Value::Int64(3)},
+           {15, Value::Null(), Value::Int64(3)},
+           {16, Value::Int64(8), Value::Int64(0)}}) {
+    source_rows.emplace(user, SourceRow(user, Hours(3), lo, hi,
+                                        Value::Double(4.5), Value::Null()));
+  }
+  std::vector<Row> rows;
+  for (const auto& [user, row] : source_rows) rows.push_back(row);
+  ASSERT_TRUE(store_.Ingest("activity", rows).ok());
+  const std::vector<int64_t> users = {10, 11, 12, 99, 13, 14, 15, 16};
+  std::vector<Value> keys;
+  for (int64_t u : users) keys.push_back(Value::Int64(u));
+  const Timestamp now = store_.clock().now();
+  auto lenient = store_.server().GetFeaturesBatch(keys, {"row_clamp"}, now);
+  auto exact = strict.GetFeaturesBatch(keys, {"row_clamp"}, now);
+  ASSERT_EQ(lenient.size(), keys.size());
+  ASSERT_EQ(exact.size(), keys.size());
+  size_t failing = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    SCOPED_TRACE(users[i]);
+    ASSERT_TRUE(lenient[i].ok()) << lenient[i].status();
+    const auto it = source_rows.find(users[i]);
+    if (it == source_rows.end()) {
+      EXPECT_EQ(lenient[i]->missing, 1u);
+      EXPECT_TRUE(exact[i].status().IsNotFound());
+      continue;
+    }
+    StatusOr<Value> want = row_expr.Eval(it->second);
+    if (!want.ok()) {
+      ++failing;
+      EXPECT_TRUE(lenient[i]->values[0].is_null());
+      EXPECT_EQ(lenient[i]->missing, 1u);
+      EXPECT_EQ(exact[i].status(),
+                Status::NotFound("feature 'row_clamp' unavailable: " +
+                                 want.status().message()));
+      continue;
+    }
+    EXPECT_EQ(lenient[i]->missing, 0u);
+    EXPECT_TRUE(BitEq(lenient[i]->values[0], *want));
+    ASSERT_TRUE(exact[i].ok()) << exact[i].status();
+    EXPECT_TRUE(BitEq(exact[i]->values[0], *want));
+  }
+  EXPECT_EQ(failing, 4u);
 }
 
 TEST_F(ServingComputeTest, LateArrivingDataFollowsEventTimeNotIngestOrder) {
